@@ -7,8 +7,8 @@
 // system, confirming that the epoch is over" — here, first Give() of a record
 // of the epoch to the probe's frontier passing the epoch.
 //
-// The evaluation container has a single CPU core, so m worker threads
-// timeshare it and wall-clock latency cannot show scaling. Alongside wall
+// The evaluation VM has 4 cores shared with the load generator, so m worker
+// threads can timeshare cores and wall-clock latency cannot show scaling. Alongside wall
 // clock we therefore record each worker's per-epoch thread-CPU time and report
 // the critical path max_w cpu_w(e) — the epoch latency the run would achieve
 // with one core per worker (workers only synchronize through asynchronous

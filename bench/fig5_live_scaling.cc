@@ -14,17 +14,18 @@
 //     reference parser — then FeedRecord. Run at 1/2/4 workers purely for
 //     the digest cross-check; its throughput is not reported.
 //
-// This container has one CPU core, so wall-clock throughput cannot show
-// scaling; threads timeshare the core. As with every scaling bench in this
-// repo (bench_common.h, DESIGN.md §3) we therefore report critical-path
-// throughput: records / max over threads of attributed thread-CPU time —
-// the throughput the run would achieve with one core per thread, which is
-// what the paper's Fig. 5 measures on real multicore hosts. Both series are
-// printed and emitted in the JSON ("records_per_s" = critical-path,
-// "records_per_s_wall" = wall clock). Single-run CPU drifts ±20-40% on a
-// timesharing core and the noise is one-sided (interference only slows a
-// run), so every reported row is the BEST of kReps interleaved runs — the
-// standard min-time-of-N estimator — with digests asserted equal across reps.
+// The evaluation VM's 4 cores are shared with the feeding thread and other
+// guests, so wall-clock throughput cannot show scaling; threads timeshare
+// cores. As with every scaling bench in this repo (bench_common.h, DESIGN.md
+// §3) we therefore report critical-path throughput: records / max over threads
+// of attributed thread-CPU time — the throughput the run would achieve with one
+// core per thread, which is what the paper's Fig. 5 measures on real multicore
+// hosts. Both series are printed and emitted in the JSON ("records_per_s" =
+// critical-path, "records_per_s_wall" = wall clock). Single-run CPU drifts
+// ±20-40% on a timesharing core and the noise is one-sided (interference only
+// slows a run), so every reported row is the BEST of kReps interleaved runs —
+// the standard min-time-of-N estimator — with digests asserted equal across
+// reps.
 //
 // After the worker sweep, one more shape repeats the widest practical worker
 // count with ts_ckpt checkpointing enabled (AsyncCheckpointer, one snapshot

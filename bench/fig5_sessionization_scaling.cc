@@ -2,12 +2,13 @@
 // system using x workers", full log rate, 1263 input streams from 42 simulated
 // log servers, configurations (1,1)..(1,16),(2,16),(3,16),(4,16).
 //
-// This container has one CPU core, so the scaling series reports per-epoch
-// critical-path latency (max over workers of attributed thread-CPU time) next
-// to raw wall clock; see bench_common.h and DESIGN.md §3. "Hosts" beyond one
-// are modelled as additional workers (the engine's exchange and progress
-// planes are identical in structure; a real deployment adds network transfer
-// cost, which the paper found small next to compute until >16 workers).
+// Up to 16 workers share the evaluation VM's 4 cores, so the scaling series
+// reports per-epoch critical-path latency (max over workers of attributed
+// thread-CPU time) next to raw wall clock; see bench_common.h and DESIGN.md
+// §3. "Hosts" beyond one are modelled as additional workers (the engine's
+// exchange and progress planes are identical in structure; a real deployment
+// adds network transfer cost, which the paper found small next to compute
+// until >16 workers).
 //
 // Flags: --rate (records/s), --seconds (trace length), --max_workers.
 #include <cstdio>

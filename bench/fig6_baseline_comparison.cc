@@ -147,9 +147,9 @@ int main(int argc, char** argv) {
   std::printf("  (paper: Flink heap >7.5 GB vs TS RSS 203 MB)\n");
 
   // --- (c) Full log rate: sustained per-core throughput -------------------
-  // On a single-core container every thread shares one core, so wall-clock
-  // drain time measures the total per-record processing cost of the whole
-  // pipeline — the quantity that decides who can keep up with the full rate.
+  // Threads share the evaluation VM's cores with each other and with the
+  // producer, so wall-clock drain time measures the total per-record
+  // processing cost of the whole pipeline — the quantity that decides who can keep up with the full rate.
   std::printf("\n--- Full log rate: sustained per-core throughput ---\n");
   GeneratorConfig full = gen;
   full.target_records_per_sec = full_rate;

@@ -34,12 +34,13 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/latency_recorder.h"
 #include "src/common/time_util.h"
-#include "src/loadgen/harness.h"
 #include "src/loadgen/load_generator.h"
+#include "src/node/live_node.h"
 
 namespace ts {
 namespace {
@@ -113,15 +114,24 @@ double QuantMs(const LatencyRecorder& r, double q) {
   return r.count() == 0 ? 0.0 : static_cast<double>(r.ValueAtQuantile(q)) / 1e6;
 }
 
+// The consumer: the shipped live node, fed by the generator over loopback
+// TCP. Per-poll batches stay small so a slow pipeline backpressures the
+// socket.
+LiveNodeOptions ConsumerOptions(const StudyConfig& config,
+                                uint16_t upstream_port) {
+  LiveNodeOptions options;
+  options.ingest.emplace();
+  options.ingest->port = upstream_port;
+  options.ingest->max_records_per_poll = 4096;
+  options.pipeline.workers = config.workers;
+  options.pipeline.inactivity_ns = config.inactivity_ns;
+  return options;
+}
+
 // One capacity probe: offer `rate` under exactly the lane conditions —
 // subscriber attached, same inactivity window — and return the achieved wire
 // rate (records flushed per second of pacing wall time).
 double ProbeRate(const StudyConfig& config, double rate, bool* ok) {
-  HarnessOptions hopts;
-  hopts.workers = config.workers;
-  hopts.inactivity_ns = config.inactivity_ns;
-  ConsumerHarness harness(hopts);
-
   LoadGenOptions lopts;
   lopts.rate_per_s = rate;
   lopts.duration_s = config.calib_seconds;
@@ -130,14 +140,22 @@ double ProbeRate(const StudyConfig& config, double rate, bool* ok) {
   lopts.synth.concurrent_sessions = 512;
   lopts.synth.records_per_session = 20;
   LoadGenerator gen(lopts);
-  if (!gen.Listen() || !harness.Start(gen.port())) {
+  if (!gen.Listen()) {
     *ok = false;
     return 0;
   }
-  gen.SetSubscriber("127.0.0.1", harness.query_port());
+  LiveNode node(ConsumerOptions(config, gen.port()), nullptr, /*log=*/nullptr);
+  if (!node.Start()) {
+    *ok = false;
+    return 0;
+  }
+  std::thread consumer([&node] {
+    node.Run();
+    node.Shutdown();
+  });
+  gen.SetSubscriber("127.0.0.1", node.query_port());
   const LoadGenReport report = gen.Run();
-  harness.Join();
-  harness.Stop();
+  consumer.join();
   if (!report.ok || report.achieved_rate <= 0) {
     std::fprintf(stderr, "calibration probe failed: %s\n",
                  report.error.c_str());
@@ -183,16 +201,6 @@ LaneResult RunLane(const StudyConfig& config, double capacity, double factor,
   r.shed = shed;
   r.goal_rate = capacity * factor;
 
-  HarnessOptions hopts;
-  hopts.workers = config.workers;
-  hopts.inactivity_ns = config.inactivity_ns;
-  if (shed) {
-    hopts.shed_policy = ShedPolicy::kOldestOpen;
-    hopts.shed_open_bytes = 8ull << 20;
-    hopts.shed_stall_limit_ms = 20;
-  }
-  ConsumerHarness harness(hopts);
-
   LoadGenOptions lopts;
   lopts.rate_per_s = r.goal_rate;
   lopts.duration_s = config.lane_seconds;
@@ -201,16 +209,30 @@ LaneResult RunLane(const StudyConfig& config, double capacity, double factor,
   lopts.synth.concurrent_sessions = 512;
   lopts.synth.records_per_session = 20;
   LoadGenerator gen(lopts);
-  if (!gen.Listen() || !harness.Start(gen.port())) {
+  if (!gen.Listen()) {
     return r;
   }
-  gen.SetSubscriber("127.0.0.1", harness.query_port());
+  LiveNodeOptions nopts = ConsumerOptions(config, gen.port());
+  if (shed) {
+    nopts.pipeline.shed_policy = ShedPolicy::kOldestOpen;
+    nopts.pipeline.shed_open_bytes = 8ull << 20;
+    nopts.pipeline.shed_stall_limit_ms = 20;
+  }
+  LiveNode node(std::move(nopts), nullptr, /*log=*/nullptr);
+  if (!node.Start()) {
+    return r;
+  }
+  std::thread consumer([&node] {
+    node.Run();
+    node.Shutdown();
+  });
+  gen.SetSubscriber("127.0.0.1", node.query_port());
 
   const int64_t start = SteadyNowNanos();
   const LoadGenReport report = gen.Run();
-  harness.Join();
+  consumer.join();
   r.elapsed_s = static_cast<double>(SteadyNowNanos() - start) / 1e9;
-  const auto acct = harness.GetAccounting();
+  const auto acct = node.accounting();
 
   r.achieved_rate = report.achieved_rate;
   r.p50_close_ms = QuantMs(report.close_latency, 0.50);
@@ -222,18 +244,17 @@ LaneResult RunLane(const StudyConfig& config, double capacity, double factor,
   r.shed_records = acct.shed_records;
   r.shed_lines = acct.shed_lines;
   r.stall_us = static_cast<uint64_t>(
-      harness.pipeline()->backpressure_stall_ns() / 1000);
-  r.transport_ok = report.ok && !harness.transport_failed() &&
+      node.pipeline()->backpressure_stall_ns() / 1000);
+  r.transport_ok = report.ok && !node.transport_failed() &&
                    acct.parse_failures == 0;
   r.reconciled = acct.Reconciles() &&
                  (shed || (acct.shed_records == 0 && acct.shed_lines == 0));
-  r.watermark_ok = harness.pipeline()->ingest_watermark() > 0;
+  r.watermark_ok = node.pipeline()->ingest_watermark() > 0;
   // An overloaded lane must still finish promptly: schedule + inactivity
   // drain + backlog flush, with margin for shared-core scheduling jitter.
   if (shed && r.elapsed_s > 8 * config.lane_seconds + 30) {
     r.transport_ok = false;
   }
-  harness.Stop();
   return r;
 }
 

@@ -1,8 +1,8 @@
 // Per-thread CPU-time measurement (CLOCK_THREAD_CPUTIME_ID).
 //
-// On the single-core evaluation container, wall-clock time cannot distinguish m
-// workers doing 1/m of the work each from one worker doing all of it: the threads
-// timeshare one core. Per-worker CPU busy time is exactly the quantity that
+// When worker threads outnumber free cores (the evaluation VM has 4, shared with
+// the load generator), wall-clock time cannot distinguish m workers doing 1/m of
+// the work each from one worker doing all of it: the threads timeshare cores. Per-worker CPU busy time is exactly the quantity that
 // determines epoch latency on a real multicore, so the scaling benches report the
 // critical path max_w(busy_w) alongside wall clock. See DESIGN.md §3.
 #ifndef SRC_COMMON_THREAD_TIMER_H_

@@ -165,113 +165,6 @@ bool SocketIngestSource::EnsureConnected(int64_t deadline_ms) {
   return true;
 }
 
-SocketIngestSource::Poll SocketIngestSource::PollLines(
-    std::vector<std::string>* lines, int timeout_ms) {
-  const int64_t deadline = NowMs() + timeout_ms;
-  size_t emitted = 0;
-  std::vector<std::string> framed;
-  std::string chunk(options_.read_chunk_bytes, '\0');
-
-  while (true) {
-    if (state_ == State::kDone) {
-      return emitted > 0 ? Poll::kRecords : Poll::kEndOfStream;
-    }
-    if (state_ == State::kFailed) {
-      return emitted > 0 ? Poll::kRecords : Poll::kFailed;
-    }
-    if (!EnsureConnected(deadline)) {
-      if (state_ == State::kFailed && emitted == 0) {
-        return Poll::kFailed;
-      }
-      return emitted > 0 ? Poll::kRecords : Poll::kIdle;
-    }
-
-    pollfd pfd{fd_.get(), POLLIN, 0};
-    const int64_t wait = deadline - NowMs();
-    const int r = ::poll(&pfd, 1, wait < 0 ? 0 : static_cast<int>(wait));
-    if (r == 0) {
-      return emitted > 0 ? Poll::kRecords : Poll::kIdle;
-    }
-    if (r < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      ScheduleReconnect();
-      continue;
-    }
-
-    bool dropped = false;
-    while (true) {
-      size_t want = chunk.size();
-      const FaultAction fault = FaultOnRecv(options_.fault_injector, want);
-      if (fault.kind == FaultAction::Kind::kFail) {
-        if (fault.error == EINTR) {
-          continue;
-        }
-        if (fault.error == EAGAIN || fault.error == EWOULDBLOCK) {
-          break;  // Behaves like a drained socket; poll again.
-        }
-        dropped = true;  // Injected kill: reconnect and resume.
-        break;
-      }
-      if (fault.kind == FaultAction::Kind::kClamp) {
-        want = std::max<size_t>(std::min(want, fault.max_bytes), 1);
-      }
-      const ssize_t n = ::recv(fd_.get(), chunk.data(), want, 0);
-      if (n > 0) {
-        FaultOnIoBytes(options_.fault_injector, static_cast<uint64_t>(n));
-        FaultOnRecvData(options_.fault_injector, chunk.data(),
-                        static_cast<size_t>(n));
-        stats_.AddBytesIn(static_cast<uint64_t>(n));
-        framed.clear();
-        framer_.Feed(std::string_view(chunk.data(), static_cast<size_t>(n)),
-                     &framed);
-        for (auto& line : framed) {
-          if (!line.empty() && line[0] == '#') {
-            if (line == "#EOS") {
-              eos_seen_ = true;
-            }
-            continue;  // Control lines never reach the parser.
-          }
-          if (line.empty()) {
-            continue;
-          }
-          ++records_received_;
-          stats_.AddRecordsIn(1);
-          lines->push_back(std::move(line));
-          ++emitted;
-        }
-        if (eos_seen_) {
-          state_ = State::kDone;
-          fd_.Close();
-          return emitted > 0 ? Poll::kRecords : Poll::kEndOfStream;
-        }
-        if (options_.max_records_per_poll > 0 &&
-            emitted >= options_.max_records_per_poll) {
-          return Poll::kRecords;  // Batch cap hit; the rest waits its turn.
-        }
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        break;
-      }
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      // read()==0 or a hard error: the server vanished without #EOS.
-      dropped = true;
-      break;
-    }
-    if (dropped) {
-      ScheduleReconnect();
-      continue;
-    }
-    if (emitted > 0) {
-      return Poll::kRecords;  // Drained to EAGAIN with records in hand.
-    }
-  }
-}
-
 SocketIngestSource::Poll SocketIngestSource::PollBlock(LineBlock* block,
                                                        int timeout_ms) {
   const int64_t deadline = NowMs() + timeout_ms;
@@ -396,15 +289,15 @@ SocketIngestSource::Poll SocketIngestSource::PollBlock(LineBlock* block,
 }
 
 bool SocketIngestSource::ReadAll(std::vector<std::string>* lines) {
+  LineBlock block;
   while (true) {
-    switch (PollLines(lines, /*timeout_ms=*/200)) {
-      case Poll::kRecords:
-      case Poll::kIdle:
-        break;
-      case Poll::kEndOfStream:
-        return true;
-      case Poll::kFailed:
-        return false;
+    const Poll poll = PollBlock(&block, /*timeout_ms=*/200);
+    lines->insert(lines->end(), block.lines.begin(), block.lines.end());
+    if (poll == Poll::kEndOfStream) {
+      return true;
+    }
+    if (poll == Poll::kFailed) {
+      return false;
     }
   }
 }

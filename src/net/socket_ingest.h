@@ -42,7 +42,7 @@ struct SocketIngestOptions {
 
   size_t read_chunk_bytes = 64 << 10;
   size_t max_line_bytes = 1 << 20;
-  // Upper bound on records one PollLines call may emit (0 = unlimited).
+  // Upper bound on records one PollBlock call may emit (0 = unlimited).
   // Bounds the ingest batch a worker must swallow per step; surplus bytes
   // stay in the kernel buffer and backpressure the server via TCP flow
   // control.
@@ -65,7 +65,7 @@ struct SocketIngestOptions {
 class SocketIngestSource {
  public:
   enum class Poll {
-    kRecords,      // *lines gained at least one record.
+    kRecords,      // The block holds at least one record.
     kIdle,         // Nothing arrived within the timeout (or still backing off).
     kEndOfStream,  // Graceful #EOS received and every record delivered.
     kFailed,       // Attempt limit exhausted; the source is dead.
@@ -76,24 +76,21 @@ class SocketIngestSource {
   SocketIngestSource(const SocketIngestSource&) = delete;
   SocketIngestSource& operator=(const SocketIngestSource&) = delete;
 
-  // Pulls whatever is available, waiting up to timeout_ms for the first byte.
-  // Appends complete wire lines (control lines filtered out) to *lines.
-  Poll PollLines(std::vector<std::string>* lines, int timeout_ms);
-
-  // Zero-copy variant: recv()s straight into a source-owned arena and fills
-  // `block` with line views into it (control and blank lines filtered, so
-  // records_received() advances exactly as under PollLines — the resume
-  // offset must not depend on which poll API the caller uses). The arena is
-  // shared with the block by reference and rotated between calls once it
-  // passes arena_rotate_bytes, so holding a block alive pins at most one
-  // rotation's worth of recv bytes. Sets block->connection_reset when the
-  // source reconnected since the previous block — the consumer's
+  // Pulls whatever is available, waiting up to timeout_ms for the first
+  // byte: recv()s straight into a source-owned arena and fills `block` with
+  // views of the complete wire lines in it (control and blank lines
+  // filtered; records_received() counts exactly the lines delivered). The
+  // arena is shared with the block by reference and rotated between calls
+  // once it passes arena_rotate_bytes, so holding a block alive pins at most
+  // one rotation's worth of recv bytes. Sets block->connection_reset when
+  // the source reconnected since the previous block — the consumer's
   // per-connection dictionaries must reset (docs/INGEST.md). `block` is
   // cleared first; any previous views in it must already be drained.
   Poll PollBlock(LineBlock* block, int timeout_ms);
 
-  // Convenience: blocks until end of stream, appending everything to *lines.
-  // Returns true on a graceful end, false if the source failed permanently.
+  // Convenience: blocks until end of stream, appending a copy of every line
+  // to *lines. Returns true on a graceful end, false if the source failed
+  // permanently.
   bool ReadAll(std::vector<std::string>* lines);
 
   uint64_t records_received() const { return records_received_; }

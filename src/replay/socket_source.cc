@@ -5,12 +5,11 @@ namespace ts {
 ArrivalSource::Fetch SocketArrivalSource::ArrivalsFor(size_t /*worker*/,
                                                       Epoch /*epoch*/,
                                                       std::vector<Arrival>* out) {
-  lines_.clear();
   const SocketIngestSource::Poll poll =
-      source_.PollLines(&lines_, options_.poll_timeout_ms);
-  for (auto& line : lines_) {
+      source_.PollBlock(&block_, options_.poll_timeout_ms);
+  for (std::string_view line : block_.lines) {
     Arrival a;
-    a.line = std::move(line);
+    a.line = std::string(line);
     out->push_back(std::move(a));
   }
   switch (poll) {

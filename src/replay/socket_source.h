@@ -47,7 +47,7 @@ class SocketArrivalSource : public ArrivalSource {
  private:
   Options options_;
   SocketIngestSource source_;
-  std::vector<std::string> lines_;
+  LineBlock block_;  // Views into the source's arena, copied out per poll.
   bool failed_ = false;
 };
 

@@ -50,11 +50,14 @@ inline std::vector<Session> MergeTieredFragments(std::vector<Session> hot,
 
 // Chained digest over hot ∪ cold, comparable to ChainedStoreDigest of an
 // unbounded store holding the same sessions. `ids` must cover both tiers
-// (union of store ids and ColdTier::ForEachId).
+// (union of store ids and ColdTier::ForEachId). When `sessions` is set it
+// receives the number of merged (id, fragment) pairs.
 inline uint64_t TieredDigest(const SessionStore& store, ColdTier& cold,
-                             const std::set<std::string>& ids) {
+                             const std::set<std::string>& ids,
+                             uint64_t* sessions = nullptr) {
   std::string canon;
   uint64_t digest = 0;
+  uint64_t merged_count = 0;
   for (const auto& id : ids) {
     const std::vector<Session> merged = MergeTieredFragments(
         store.GetAllFragments(id), cold.GetAllFragments(id));
@@ -62,6 +65,10 @@ inline uint64_t TieredDigest(const SessionStore& store, ColdTier& cold,
       digest ^= SessionDigest(s, &canon);
       digest = SipHash24(digest);
     }
+    merged_count += merged.size();
+  }
+  if (sessions != nullptr) {
+    *sessions = merged_count;
   }
   return digest;
 }

@@ -19,31 +19,21 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/analytics/session_digest.h"
 #include "src/analytics/session_store.h"
 #include "src/ckpt/async_checkpointer.h"
 #include "src/ckpt/checkpointer.h"
-#include "src/ckpt/live_checkpoint.h"
 #include "src/ckpt/snapshot_io.h"
-#include "src/common/rng.h"
 #include "src/core/live_pipeline.h"
 #include "src/fault/fault_plan.h"
 #include "src/fault/fs_fault.h"
 #include "src/fault/scripted_disk_injector.h"
-#include "src/log/wire_format.h"
-#include "src/net/log_server.h"
-#include "src/net/socket_ingest.h"
 #include "src/store/cold_tier.h"
-#include "src/store/tiered_digest.h"
-#include "src/workload/generator.h"
+#include "tests/live_node_test_util.h"
 
 namespace ts {
 namespace {
@@ -52,11 +42,6 @@ FaultPlan ManualPlan(std::vector<FaultEvent> events) {
   FaultPlan plan;
   plan.events = std::move(events);
   return plan;
-}
-
-uint64_t TotalFired(const DiskFaultCountersSnapshot& c) {
-  return c.enospc_failures + c.eio_failures + c.short_writes +
-         c.fsync_failures + c.rename_failures + c.torn_writes;
 }
 
 bool FileExists(const std::string& path) {
@@ -574,24 +559,6 @@ TEST(DiskFaultDegradation, ServingPreadRetriesOnceThenCountsTheMiss) {
   EXPECT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
 }
 
-std::shared_ptr<std::vector<std::string>> MakeArchive(double records_per_sec,
-                                                      EventTime seconds) {
-  GeneratorConfig config;
-  config.seed = 99;
-  config.duration_ns = seconds * kNanosPerSecond;
-  config.target_records_per_sec = records_per_sec;
-  TraceGenerator gen(config);
-  auto lines = std::make_shared<std::vector<std::string>>();
-  Epoch epoch = 0;
-  std::vector<LogRecord> records;
-  while (gen.NextEpoch(&epoch, &records)) {
-    for (const auto& r : records) {
-      lines->push_back(ToWireFormat(r));
-    }
-  }
-  return lines;
-}
-
 TEST(DiskFaultDegradation, AsyncCheckpointerDegradesThenRecovers) {
   const std::string dir = MakeTempDir("ts_diskfault_ckpt");
   const auto lines = MakeArchive(/*records_per_sec=*/500, /*seconds=*/1);
@@ -702,391 +669,106 @@ TEST(DiskFaultDegradation, FailedDurabilityBarrierAbortsTheSnapshot) {
 }
 
 // --- Seeded end-to-end schedules (the tentpole conformance property) ---
-
-// Exploratory-lane width, shared with the transport suite (see
-// fault_conformance_test.cc): the nightly soak scales via
-// TS_FAULT_SCHEDULE_MULTIPLIER, clamped against ctest timeouts.
-uint64_t ScheduleMultiplier() {
-  const char* text = std::getenv("TS_FAULT_SCHEDULE_MULTIPLIER");
-  if (text == nullptr || *text == '\0') {
-    return 1;
-  }
-  const uint64_t value = std::strtoull(text, nullptr, 10);
-  return value < 1 ? 1 : (value > 20 ? 20 : value);
-}
-
-struct InMemoryBaseline {
-  uint64_t sessions = 0;
-  uint64_t store_digest = 0;
-};
-
-// The determinism contract's reference point: the same lines fed straight
-// into the pipeline — no sockets, no disk, no faults.
-InMemoryBaseline RunInMemory(const std::vector<std::string>& lines) {
-  InMemoryBaseline result;
-  SessionStore::Options store_options;
-  store_options.max_bytes = 1ull << 30;
-  SessionStore store(store_options);
-  std::mutex mu;
-  std::set<std::string> ids;
-  LivePipelineOptions options;
-  options.workers = 2;
-  LivePipeline pipeline(options, [&](Session&& s) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      ids.insert(s.id);
-    }
-    store.Insert(std::move(s));
-  });
-  for (const auto& l : lines) {
-    pipeline.FeedLine(l);
-  }
-  pipeline.Finish();
-  result.sessions = pipeline.sessions_closed();
-  result.store_digest = ChainedStoreDigest(store, ids);
-  return result;
-}
-
-struct DiskScheduleResult {
-  bool eos = false;
-  int incarnations = 0;
-  int crashes = 0;
-  uint64_t snapshots_written = 0;
-  uint64_t snapshot_attempts_failed = 0;  // Aborted publishes (disk faults).
-  uint64_t restore_fallbacks = 0;
-  uint64_t faults_fired = 0;  // Disk-fault events that actually bit.
-  uint64_t records_in = 0;
-  uint64_t parse_failures = 0;
-  uint64_t replayed_duplicates = 0;
-  uint64_t sessions = 0;
-  uint64_t cold_sessions = 0;
-  uint64_t cold_segments = 0;
-  uint64_t tiered_digest = 0;
-};
-
-// One seeded schedule: kill/restart cycles over the full tiered ingest path
-// (LogServer -> SocketIngestSource -> LivePipeline -> SessionStore ->
-// ColdTier spill, synchronous Checkpointer at a seeded cadence), with each
+//
+// Kill/restart cycles of the shipped LiveNode over the full tiered ingest
+// path (RunCrashSchedule in tests/live_node_test_util.h), with each
 // incarnation's durability I/O attacked by a ScriptedDiskInjector driving a
-// fresh disk-aggressive plan. The injector is installed only after restore
-// and segment discovery (this suite attacks the *write* path: a durable,
-// valid file that fails a read is the corruption suite's territory and would
-// make the digest incomparable) and uninstalled at the kill instant — a dead
-// process does no I/O — and before the final flush + digest reads.
-DiskScheduleResult RunDiskFaultSchedule(
-    std::shared_ptr<std::vector<std::string>> archive_lines, uint64_t seed) {
-  DiskScheduleResult out;
-  Rng rng(seed ^ 0xD15CFA17B3A7E901ULL);
-  const uint64_t total = archive_lines->size();
+// fresh disk-aggressive plan, seeded from (schedule seed, incarnation) so
+// every restart faces a new storm at new byte offsets.
 
-  const std::string base_dir = ::testing::TempDir() + "ts_diskfault_" +
-                               std::to_string(::getpid()) + "_" +
-                               std::to_string(seed);
-  const std::string cleanup = "rm -rf '" + base_dir + "'";
-  EXPECT_EQ(std::system(cleanup.c_str()), 0);
-  const std::string ckpt_dir = base_dir + "/ckpt";
-  const std::string cold_dir = base_dir + "/cold";
-  EXPECT_EQ(std::system(("mkdir -p '" + base_dir + "'").c_str()), 0);
-
-  LogServerOptions server_options;
-  LogServer server(server_options, archive_lines);
-  EXPECT_TRUE(server.Start());
-  std::thread server_thread([&server] { server.Run(); });
-
-  int crashes_left = 1 + static_cast<int>(rng.NextBelow(3));
-  bool eos = false;
-  for (int incarnation = 0; incarnation < 16 && !eos; ++incarnation) {
-    ++out.incarnations;
-
-    // A fresh disk-fault plan per incarnation, seeded from (schedule seed,
-    // incarnation) so every restart faces a new storm at new byte offsets.
-    // Declared before the tier and the checkpointer: the injector must
-    // outlive every thread that might consult it.
-    FaultProfile disk_profile;
+// Asserts the durable-prefix property for one seed and returns the run. The
+// fixture asserts over the sweep as a whole that faults fired and restarts
+// restored snapshots written under them: a single seed's plan may land all
+// its offsets past the bytes the run happened to move, and a single schedule
+// may crash before its first snapshot lands.
+CrashRun CheckDiskFaultConformance(const std::vector<std::string>& archive,
+                                   const RunResult& baseline, uint64_t seed) {
+  CrashSchedule schedule;
+  schedule.seed = seed;
+  schedule.salt = 0xD15CFA17B3A7E901ULL;
+  schedule.dir = ::testing::TempDir() + "ts_diskfault_" +
+                 std::to_string(::getpid()) + "_" + std::to_string(seed);
+  schedule.tiered = true;
+  schedule.disk_plan = [seed](int incarnation) {
+    FaultProfile profile;
     EXPECT_TRUE(
-        FaultPlan::ResolveProfile("disk-aggressive", 256u << 10, &disk_profile));
-    ScriptedDiskInjector disk(FaultPlan::FromSeed(
+        FaultPlan::ResolveProfile("disk-aggressive", 256u << 10, &profile));
+    return FaultPlan::FromSeed(
         seed * 1'000'003ull + static_cast<uint64_t>(incarnation),
-        "disk-aggressive", disk_profile));
-
-    CheckpointerOptions ckpt_options;
-    ckpt_options.dir = ckpt_dir;
-    ckpt_options.retain = 2 + static_cast<size_t>(rng.NextBelow(2));
-    ckpt_options.interval_ms = 0;
-    Checkpointer ckpt(ckpt_options);
-    CheckpointState state;
-    const RestoreResult restored = ckpt.RestoreLatest(&state);
-    out.restore_fallbacks += restored.fallbacks;
-    const uint64_t resume = state.resume_offset;
-    const uint64_t base_records = state.records;
-    const uint64_t base_parse_failures = state.parse_failures;
-    EXPECT_LE(resume, total);
-
-    ColdTierOptions cold_options;
-    cold_options.dir = cold_dir;
-    cold_options.segment_target_bytes = 16u << 10;  // Many small segments.
-    // Conformance runs never shed: every fault window in the plan is finite,
-    // so retrying always converges, and shedding (counted loss) would make
-    // the digest incomparable by design. The shed path is proven separately
-    // with a permanently broken disk (ColdTierShedsWithExactAccounting...).
-    cold_options.spill_retry_limit = 1'000'000;
-    cold_options.spill_backoff_ms = 1;
-    ColdTier cold(cold_options);
-    EXPECT_TRUE(cold.Start());
-
-    SessionStore::Options store_options;
-    store_options.max_bytes = 64u << 10;  // Tiny hot window: spill constantly.
-    SessionStore store(store_options);
-    store.SetEvictionSink([&cold](Session&& s) { cold.Append(std::move(s)); },
-                          [&cold] { cold.WaitForSpace(); });
-    std::atomic<uint64_t> duplicates{0};
-
-    LivePipelineOptions pipeline_options;
-    pipeline_options.workers = 1 + rng.NextBelow(4);
-    LivePipeline pipeline(pipeline_options, [&](Session&& s) {
-      if (store.Contains(s.id, s.fragment_index) ||
-          cold.Contains(s.id, s.fragment_index)) {
-        duplicates.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      store.Insert(std::move(s));
-    });
-    RestoreLiveCheckpoint(std::move(state), &pipeline, &store);
-
-    SocketIngestOptions client_options;
-    client_options.port = server.port();
-    client_options.backoff_base_ms = 1;
-    client_options.backoff_max_ms = 20;
-    client_options.resume_offset = resume;
-    SocketIngestSource client(client_options);
-
-    // Restore + discovery ran clean; from here on the disk misbehaves.
-    InstallFsFaultInjector(&disk);
-
-    const bool crash_this = crashes_left > 0 && resume < total;
-    const uint64_t crash_at =
-        crash_this ? resume + 1 + rng.NextBelow(total - resume) : 0;
-    const uint64_t ckpt_every = 100 + rng.NextBelow(900);
-
-    uint64_t fed = resume;
-    uint64_t since_ckpt = 0;
-    bool crashed = false;
-    std::vector<std::string> batch;
-    while (!crashed) {
-      batch.clear();
-      const auto poll = client.PollLines(&batch, /*timeout_ms=*/200);
-      for (auto& line : batch) {
-        if (crash_this && fed == crash_at) {
-          crashed = true;  // SIGKILL: the rest of the batch never lands.
-          break;
-        }
-        pipeline.FeedLine(std::move(line));
-        ++fed;
-        ++since_ckpt;
-      }
-      if (crashed) {
-        break;
-      }
-      pipeline.Flush();
-      if (poll == SocketIngestSource::Poll::kEndOfStream) {
-        eos = true;
-        break;
-      }
-      if (poll == SocketIngestSource::Poll::kFailed) {
-        break;
-      }
-      if (since_ckpt >= ckpt_every) {
-        CheckpointState snap =
-            CaptureLiveCheckpoint(&pipeline, store, client.records_received());
-        snap.records += base_records;
-        snap.parse_failures += base_parse_failures;
-        // The durability barrier, now under fire: the snapshot may only be
-        // published once every preceding eviction is durable in cold. A
-        // failed barrier or a failed snapshot write aborts the attempt —
-        // exactly AsyncCheckpointer's degraded-mode contract — leaving the
-        // previous (fully valid) snapshots in charge: the durable-prefix
-        // property.
-        if (!cold.FlushPending()) {
-          ++out.snapshot_attempts_failed;
-        } else if (ckpt.Write(snap)) {
-          ++out.snapshots_written;
-        } else {
-          ++out.snapshot_attempts_failed;
-        }
-        since_ckpt = 0;
-      }
-    }
-    if (crashed) {
-      cold.Abandon();  // The kill instant: pending spills die with the
-                       // process; durable segments stay.
-    }
-    // Whether this incarnation dies or finishes, the remaining teardown
-    // (final flush, digest preads, next incarnation's restore) runs on a
-    // healed disk: a dead process does no I/O, and read-side attacks on
-    // durable files belong to the corruption suite.
-    InstallFsFaultInjector(nullptr);
-    out.faults_fired += TotalFired(disk.counters());
-    pipeline.Finish();
-    if (crashed) {
-      ++out.crashes;
-      --crashes_left;
-      continue;
-    }
-    if (!eos) {
-      break;  // Transport failure: surface as a non-conformant run.
-    }
-    // A segment write already in flight at the heal instant may still fail
-    // once (it consumed its fault before the uninstall); the retry runs on
-    // the healed disk and must converge.
-    bool flushed = false;
-    for (int i = 0; i < 100 && !flushed; ++i) {
-      flushed = cold.FlushPending();
-    }
-    EXPECT_TRUE(flushed);
-    out.eos = true;
-    out.records_in = base_records + pipeline.records();
-    out.parse_failures = base_parse_failures + pipeline.parse_failures();
-    out.replayed_duplicates = duplicates.load(std::memory_order_relaxed);
-    const ColdTier::Stats cold_stats = cold.stats();
-    out.cold_sessions = cold_stats.sessions;
-    out.cold_segments = cold_stats.segments;
-    EXPECT_EQ(cold_stats.pending, 0u);
-    // Disk faults fail writes (counted, retried); they never publish a
-    // damaged segment and never shed under a finite plan.
-    EXPECT_EQ(cold_stats.corrupt, 0u);
-    EXPECT_EQ(cold_stats.shed_sessions, 0u);
-
-    std::set<std::string> all_ids;
-    store.ForEachSession([&](const Session& s) { all_ids.insert(s.id); });
-    cold.ForEachId([&](const std::string& id) { all_ids.insert(id); });
-    std::string canon;
-    for (const auto& id : all_ids) {
-      const std::vector<Session> merged = MergeTieredFragments(
-          store.GetAllFragments(id), cold.GetAllFragments(id));
-      for (const auto& s : merged) {
-        out.tiered_digest ^= SessionDigest(s, &canon);
-        out.tiered_digest = SipHash24(out.tiered_digest);
-      }
-      out.sessions += merged.size();
-    }
-  }
-
-  server.Stop();
-  server_thread.join();
-  EXPECT_EQ(std::system(cleanup.c_str()), 0);
-  return out;
-}
-
-// Asserts the durable-prefix property for one seed and returns how many
-// disk-fault events actually fired (the fixture asserts the sweep as a whole
-// drew blood — a single seed's plan is allowed to land all its offsets past
-// the bytes the run happened to move).
-uint64_t CheckDiskFaultConformance(
-    std::shared_ptr<std::vector<std::string>> archive,
-    const InMemoryBaseline& baseline, uint64_t seed) {
-  const DiskScheduleResult out = RunDiskFaultSchedule(archive, seed);
-  const std::string banner =
-      "disk fault schedule seed " + std::to_string(seed) + " (" +
-      std::to_string(out.crashes) + " crash(es), " +
-      std::to_string(out.incarnations) + " incarnation(s), " +
-      std::to_string(out.snapshots_written) + " snapshot(s), " +
-      std::to_string(out.snapshot_attempts_failed) +
-      " failed snapshot attempt(s), " + std::to_string(out.faults_fired) +
-      " disk fault(s) fired, " + std::to_string(out.restore_fallbacks) +
-      " restore fallback(s), " + std::to_string(out.cold_segments) +
-      " cold segment(s), " + std::to_string(out.replayed_duplicates) +
-      " replayed duplicate(s))";
-  EXPECT_TRUE(out.eos) << banner;
-  if (!out.eos) {
-    return out.faults_fired;
+        "disk-aggressive", profile);
+  };
+  const CrashRun out = RunCrashSchedule(archive, schedule);
+  const std::string banner = "disk fault schedule seed " +
+                             std::to_string(seed) + " (" + out.Banner() + ")";
+  EXPECT_TRUE(out.run.eos) << banner;
+  if (!out.run.eos) {
+    return out;
   }
   EXPECT_EQ(out.crashes, out.incarnations - 1) << banner;
-  EXPECT_EQ(out.records_in, archive->size()) << banner;
-  EXPECT_EQ(out.parse_failures, 0u) << banner;
+  EXPECT_EQ(out.run.records_in, archive.size()) << banner;
+  EXPECT_EQ(out.run.parse_failures, 0u) << banner;
   // Every restart found a fully valid snapshot set: no restore ever fell
   // back past a damaged file, because no damaged file was ever published.
   EXPECT_EQ(out.restore_fallbacks, 0u) << banner;
   EXPECT_GT(out.cold_sessions, 0u) << banner;
   EXPECT_GE(out.cold_segments, 1u) << banner;
-  EXPECT_EQ(out.sessions, baseline.sessions) << banner;
+  EXPECT_EQ(out.tiered_sessions, baseline.sessions) << banner;
   EXPECT_EQ(out.tiered_digest, baseline.store_digest) << banner;
-  return out.faults_fired;
+  return out;
 }
 
 class DiskFaultConformance : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    archive_ = new std::shared_ptr<std::vector<std::string>>(
-        MakeArchive(/*records_per_sec=*/2'000, /*seconds=*/2));
-    baseline_ = new InMemoryBaseline(RunInMemory(**archive_));
-    ASSERT_GT((*archive_)->size(), 2'000u);
-    ASSERT_GT(baseline_->sessions, 0u);
+    archive_ = MakeArchive(/*records_per_sec=*/2'000, /*seconds=*/2);
+    baseline_ = RunInMemory(*archive_);
+    ASSERT_GT(archive_->size(), 2'000u);
+    ASSERT_GT(baseline_.sessions, 0u);
   }
-  static void TearDownTestSuite() {
-    delete archive_;
-    delete baseline_;
-    archive_ = nullptr;
-    baseline_ = nullptr;
+  static void TearDownTestSuite() { archive_.reset(); }
+
+  // Runs one seed, adding to fired_ and restores_.
+  void CheckSeed(uint64_t seed) {
+    const CrashRun out = CheckDiskFaultConformance(*archive_, baseline_, seed);
+    fired_ += out.faults_fired;
+    restores_ += out.restores;
   }
 
-  uint64_t CheckSeed(uint64_t seed) {
-    return CheckDiskFaultConformance(*archive_, *baseline_, seed);
-  }
+  uint64_t fired_ = 0;
+  uint64_t restores_ = 0;
 
  private:
-  static std::shared_ptr<std::vector<std::string>>* archive_;
-  static InMemoryBaseline* baseline_;
+  static inline std::shared_ptr<std::vector<std::string>> archive_;
+  static inline RunResult baseline_;
 };
 
-std::shared_ptr<std::vector<std::string>>* DiskFaultConformance::archive_ =
-    nullptr;
-InMemoryBaseline* DiskFaultConformance::baseline_ = nullptr;
-
 TEST_F(DiskFaultConformance, FirstTenSeededSchedules) {
-  uint64_t fired = 0;
   for (uint64_t seed = 0; seed < 10; ++seed) {
-    fired += CheckSeed(seed);
+    CheckSeed(seed);
     if (HasFatalFailure() || HasNonfatalFailure()) {
       return;  // The banner already names the seed.
     }
   }
-  // The sweep as a whole must have drawn blood, or it proved nothing.
-  EXPECT_GT(fired, 0u);
+  // The sweep as a whole must have drawn blood and restored from snapshots
+  // written under fire, or it proved nothing.
+  EXPECT_GT(fired_, 0u);
+  EXPECT_GE(restores_, 3u);
 }
 
 TEST_F(DiskFaultConformance, SecondTenSeededSchedules) {
-  uint64_t fired = 0;
   for (uint64_t seed = 10; seed < 20; ++seed) {
-    fired += CheckSeed(seed);
+    CheckSeed(seed);
     if (HasFatalFailure() || HasNonfatalFailure()) {
       return;
     }
   }
-  EXPECT_GT(fired, 0u);
+  EXPECT_GT(fired_, 0u);
+  EXPECT_GE(restores_, 3u);
 }
 
 TEST_F(DiskFaultConformance, ExploratorySeedFromEnvironment) {
-  const char* seed_text = std::getenv("TS_FAULT_SEED");
-  if (seed_text == nullptr || *seed_text == '\0') {
-    GTEST_SKIP() << "set TS_FAULT_SEED to run exploratory disk schedules";
-  }
-  const uint64_t base = std::strtoull(seed_text, nullptr, 10);
-  const uint64_t schedules = 4 * ScheduleMultiplier();
-  for (uint64_t i = 0; i < schedules && !HasFailure(); ++i) {
-    CheckSeed(base + i * 104'729);
-  }
-  if (HasFailure()) {
-    if (const char* artifact = std::getenv("TS_FAULT_ARTIFACT")) {
-      FILE* f = std::fopen(artifact, "a");
-      if (f != nullptr) {
-        std::fprintf(f,
-                     "# ts_fault exploratory disk-fault-schedule failure\n"
-                     "TS_FAULT_SEED=%llu\n",
-                     static_cast<unsigned long long>(base));
-        std::fclose(f);
-      }
-    }
-  }
+  RunExploratorySeeds(4, 104'729, "disk-fault schedules",
+                      [&](uint64_t seed) { CheckSeed(seed); });
 }
 
 }  // namespace

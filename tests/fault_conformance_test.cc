@@ -1,77 +1,34 @@
-// Crash/recovery conformance suite: the full live ingest path — LogServer
-// over real TCP -> SocketIngestSource -> LivePipeline (sharded) ->
-// SessionStore — run under hundreds of seeded fault schedules, asserting the
-// closed-session multiset digest and the chained store-query digest are
-// byte-identical to a fault-free run, and that every archive record arrived
-// exactly once (client records_in == archive size: no loss, no duplicates).
+// Crash/recovery conformance suite: the shipped live ingest path — LogServer
+// over real TCP -> LiveNode (SocketIngestSource::PollBlock -> LivePipeline::
+// FeedBlock, sharded -> SessionStore) — run under hundreds of seeded fault
+// schedules, asserting the closed-session multiset digest and the chained
+// store-query digest are byte-identical to a fault-free run, and that every
+// archive record arrived exactly once (client records_in == archive size: no
+// loss, no duplicates).
 //
 // Every schedule is a FaultPlan drawn from a seed; a failing run prints the
 // seed and both plan texts, which replay the exact schedule (see
 // docs/FAULT_TESTING.md). The exploratory lane reads TS_FAULT_SEED from the
 // environment (CI passes $GITHUB_RUN_ID) and writes the failing plan to
 // TS_FAULT_ARTIFACT so the run can be attached to a bug.
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
+#include <unistd.h>
+
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/analytics/session_digest.h"
-#include "src/analytics/session_store.h"
-#include "src/ckpt/checkpointer.h"
-#include "src/ckpt/live_checkpoint.h"
-#include "src/common/rng.h"
-#include "src/core/live_pipeline.h"
 #include "src/fault/fault_plan.h"
 #include "src/fault/scripted_injector.h"
-#include "src/log/wire_format.h"
 #include "src/net/log_server.h"
 #include "src/net/socket_ingest.h"
-#include "src/store/cold_tier.h"
-#include "src/store/tiered_digest.h"
-#include "src/workload/generator.h"
+#include "src/node/live_node.h"
+#include "tests/live_node_test_util.h"
 
 namespace ts {
 namespace {
-
-std::shared_ptr<std::vector<std::string>> MakeArchive(double records_per_sec,
-                                                      EventTime seconds,
-                                                      bool free_text = false) {
-  GeneratorConfig config;
-  config.seed = 99;
-  config.duration_ns = seconds * kNanosPerSecond;
-  config.target_records_per_sec = records_per_sec;
-  config.free_text_payloads = free_text;
-  TraceGenerator gen(config);
-  auto lines = std::make_shared<std::vector<std::string>>();
-  Epoch epoch = 0;
-  std::vector<LogRecord> records;
-  while (gen.NextEpoch(&epoch, &records)) {
-    for (const auto& r : records) {
-      lines->push_back(ToWireFormat(r));
-    }
-  }
-  return lines;
-}
-
-// Exploratory-lane width: the per-PR CI job runs the base schedule count;
-// the nightly soak sets TS_FAULT_SCHEDULE_MULTIPLIER (e.g. 5) to sweep a
-// proportionally larger region of the schedule space per seed. Clamped so a
-// typo'd value cannot wedge the lane past its ctest timeout.
-uint64_t ScheduleMultiplier() {
-  const char* text = std::getenv("TS_FAULT_SCHEDULE_MULTIPLIER");
-  if (text == nullptr || *text == '\0') {
-    return 1;
-  }
-  const uint64_t value = std::strtoull(text, nullptr, 10);
-  return value < 1 ? 1 : (value > 20 ? 20 : value);
-}
 
 uint64_t WireBytes(const std::vector<std::string>& lines) {
   uint64_t total = 0;
@@ -81,83 +38,13 @@ uint64_t WireBytes(const std::vector<std::string>& lines) {
   return total;
 }
 
-struct RunResult {
-  bool eos = false;
-  uint64_t records_in = 0;
-  uint64_t parse_failures = 0;
-  uint64_t sessions = 0;
-  uint64_t session_digest = 0;
-  uint64_t store_digest = 0;
-  uint64_t reconnects = 0;
-  uint64_t templates = 0;        // Learned templates (mining lanes only).
-  uint64_t template_digest = 0;  // FNV over the sorted (id, hits, text) dump.
-};
-
-// FNV-1a over the full template dictionary: any drift in template ids, hit
-// counts, or learned text between two runs changes this value.
-uint64_t TemplateDictionaryDigest(const std::vector<TemplateInfo>& dict) {
-  uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](const std::string& s) {
-    for (const char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ull;
-    }
-    h ^= '\n';
-    h *= 1099511628211ull;
-  };
-  for (const auto& t : dict) {
-    mix(std::to_string(t.id) + " " + std::to_string(t.hits) + " " + t.text);
-  }
-  return h;
-}
-
-// The determinism contract's reference point: the same lines fed straight
-// into the pipeline, no sockets, no faults.
-RunResult RunInMemory(const std::vector<std::string>& lines,
-                      bool mine = false) {
-  RunResult result;
-  SessionStore::Options store_options;
-  store_options.max_bytes = 1ull << 30;
-  SessionStore store(store_options);
-  std::mutex mu;
-  std::set<std::string> ids;
-
-  LivePipelineOptions options;
-  options.workers = 2;
-  options.mine_templates = mine;
-  LivePipeline pipeline(options, [&](Session&& s) {
-    thread_local std::string scratch;
-    const uint64_t d = SessionDigest(s, &scratch);
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      result.session_digest ^= d;
-      ids.insert(s.id);
-    }
-    store.Insert(std::move(s));
-  });
-  for (const auto& l : lines) {
-    pipeline.FeedLine(l);
-  }
-  pipeline.Finish();
-
-  result.eos = true;
-  result.records_in = pipeline.records();
-  result.parse_failures = pipeline.parse_failures();
-  result.sessions = pipeline.sessions_closed();
-  result.store_digest = ChainedStoreDigest(store, ids);
-  const auto dict = pipeline.TemplateSnapshot();
-  result.templates = dict.size();
-  result.template_digest = TemplateDictionaryDigest(dict);
-  return result;
-}
-
 // One conformance run: serve `lines` through a fault-injected LogServer,
-// consume through a fault-injected SocketIngestSource, sessionize, digest.
+// consume through a LiveNode whose SocketIngestSource is fault-injected too,
+// digest every session it closes.
 RunResult RunOverFaultyTransport(
     std::shared_ptr<const std::vector<std::string>> lines,
     const FaultPlan& client_plan, const FaultPlan& server_plan,
     bool mine = false) {
-  RunResult result;
   ScriptedInjector client_injector(client_plan);
   ScriptedInjector server_injector(server_plan);
 
@@ -167,92 +54,61 @@ RunResult RunOverFaultyTransport(
   EXPECT_TRUE(server.Start());
   std::thread server_thread([&server] { server.Run(); });
 
-  SessionStore::Options store_options;
-  store_options.max_bytes = 1ull << 30;
-  SessionStore store(store_options);
-  std::mutex mu;
-  std::set<std::string> ids;
-
-  LivePipelineOptions pipeline_options;
-  pipeline_options.workers = 2;
-  pipeline_options.mine_templates = mine;
-  LivePipeline pipeline(pipeline_options, [&](Session&& s) {
-    thread_local std::string scratch;
-    const uint64_t d = SessionDigest(s, &scratch);
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      result.session_digest ^= d;
-      ids.insert(s.id);
-    }
-    store.Insert(std::move(s));
-  });
-
-  SocketIngestOptions client_options;
-  client_options.port = server.port();
-  client_options.backoff_base_ms = 1;
-  client_options.backoff_max_ms = 20;
-  client_options.attempt_limit = 0;  // The plan decides when connects work.
-  client_options.fault_injector = &client_injector;
-  SocketIngestSource client(client_options);
-
-  std::vector<std::string> batch;
-  while (true) {
-    batch.clear();
-    const auto poll = client.PollLines(&batch, /*timeout_ms=*/200);
-    for (auto& line : batch) {
-      pipeline.FeedLine(std::move(line));
-    }
-    pipeline.Flush();
-    if (poll == SocketIngestSource::Poll::kEndOfStream) {
-      result.eos = true;
-      break;
-    }
-    if (poll == SocketIngestSource::Poll::kFailed) {
-      break;
-    }
-  }
-  pipeline.Finish();
+  CloseDigest closes;
+  LiveNodeOptions options = TestNodeOptions(server.port(), /*workers=*/2);
+  options.ingest->attempt_limit = 0;  // The plan decides when connects work.
+  options.ingest->fault_injector = &client_injector;
+  options.pipeline.mine_templates = mine;
+  LiveNode node(
+      std::move(options), [&closes](const Session& s) { closes.Add(s); },
+      /*log=*/nullptr);
+  EXPECT_TRUE(node.Start());
+  node.Run();
+  node.Shutdown();
   server.Stop();
   server_thread.join();
 
-  result.records_in = client.stats().Snapshot().records_in;
-  result.reconnects = client.stats().Snapshot().reconnects;
-  result.parse_failures = pipeline.parse_failures();
-  result.sessions = pipeline.sessions_closed();
-  result.store_digest = ChainedStoreDigest(store, ids);
-  const auto dict = pipeline.TemplateSnapshot();
+  RunResult result;
+  result.eos = !node.transport_failed();
+  result.records_in = node.transport_stats().Snapshot().records_in;
+  result.reconnects = node.transport_stats().Snapshot().reconnects;
+  result.parse_failures = node.ingest_parse_failures();
+  result.sessions = node.pipeline()->sessions_closed();
+  result.session_digest = closes.xor_digest;
+  result.store_digest = ChainedStoreDigest(*node.store(), closes.ids);
+  const auto dict = node.pipeline()->TemplateSnapshot();
   result.templates = dict.size();
   result.template_digest = TemplateDictionaryDigest(dict);
   return result;
 }
 
-class FaultConformance : public ::testing::Test {
+// One shared archive and fault-free baseline per suite: building them once
+// keeps hundreds of schedules inside the suite's time budget. Free-text
+// archives feed the template-mining lanes, with mining on in the baseline.
+template <bool kFreeText>
+class ArchiveSuite : public ::testing::Test {
  protected:
-  // One shared archive and fault-free baseline across all seeds: building
-  // them once keeps 200+ schedules inside the suite's time budget.
   static void SetUpTestSuite() {
-    archive_ = new std::shared_ptr<std::vector<std::string>>(
-        MakeArchive(/*records_per_sec=*/2'000, /*seconds=*/2));
-    baseline_ = new RunResult(RunInMemory(**archive_));
-    ASSERT_GT((*archive_)->size(), 2'000u);
-    ASSERT_GT(baseline_->sessions, 0u);
-    ASSERT_EQ(baseline_->parse_failures, 0u);
+    archive_ = MakeArchive(/*records_per_sec=*/2'000, /*seconds=*/2, kFreeText);
+    baseline_ = RunInMemory(*archive_, /*mine=*/kFreeText);
+    ASSERT_GT(archive_->size(), 2'000u);
+    ASSERT_GT(baseline_.sessions, 0u);
+    ASSERT_EQ(baseline_.parse_failures, 0u);
+    if (kFreeText) {
+      ASSERT_GT(baseline_.templates, 0u);
+    }
   }
-  static void TearDownTestSuite() {
-    delete archive_;
-    delete baseline_;
-    archive_ = nullptr;
-    baseline_ = nullptr;
-  }
+  static void TearDownTestSuite() { archive_.reset(); }
 
-  static const std::vector<std::string>& archive() { return **archive_; }
+  static const std::vector<std::string>& archive() { return *archive_; }
   static std::shared_ptr<const std::vector<std::string>> archive_ptr() {
-    return *archive_;
+    return archive_;
   }
-  static const RunResult& baseline() { return *baseline_; }
+  static const RunResult& baseline() { return baseline_; }
 
-  // Runs one seeded schedule and asserts full conformance: graceful end,
-  // exactly-once delivery, zero parse failures, identical digests.
+  // Runs one seeded pair of transport schedules and asserts full
+  // conformance: graceful end, exactly-once delivery, zero parse failures,
+  // identical digests (and, mining, an identical template dictionary).
   void CheckSeed(uint64_t seed, const std::string& profile) {
     FaultProfile resolved;
     ASSERT_TRUE(
@@ -263,28 +119,65 @@ class FaultConformance : public ::testing::Test {
         FaultPlan::FromSeed(seed * 2 + 1, profile, resolved);
     const FaultPlan server_plan =
         FaultPlan::FromSeed(seed * 2 + 2, profile, resolved);
-    const std::string replay = "seed " + std::to_string(seed) +
+    const std::string replay = std::string(kFreeText ? "mined " : "") +
+                               "seed " + std::to_string(seed) +
                                " — replay with:\n--- client plan ---\n" +
                                client_plan.ToText() + "--- server plan ---\n" +
                                server_plan.ToText();
 
-    const RunResult run =
-        RunOverFaultyTransport(archive_ptr(), client_plan, server_plan);
+    const RunResult run = RunOverFaultyTransport(archive_ptr(), client_plan,
+                                                 server_plan, kFreeText);
     ASSERT_TRUE(run.eos) << replay;
     EXPECT_EQ(run.records_in, archive().size()) << replay;
     EXPECT_EQ(run.parse_failures, 0u) << replay;
     EXPECT_EQ(run.sessions, baseline().sessions) << replay;
     EXPECT_EQ(run.session_digest, baseline().session_digest) << replay;
     EXPECT_EQ(run.store_digest, baseline().store_digest) << replay;
+    EXPECT_EQ(run.templates, baseline().templates) << replay;
+    EXPECT_EQ(run.template_digest, baseline().template_digest) << replay;
   }
 
+  // Runs one seeded kill-9/restart schedule and asserts the recovered run is
+  // indistinguishable from the fault-free baseline. Mining, the template
+  // dictionary must match too: same ids, same hit counts, same learned text.
+  void CheckCrashSeed(uint64_t seed) {
+    CrashSchedule schedule;
+    schedule.seed = seed;
+    schedule.salt = 0xCDB4D88C6A2E9C01ULL;
+    schedule.dir = ::testing::TempDir() + "ts_crash_" +
+                   std::to_string(::getpid()) + "_" + (kFreeText ? "m" : "p") +
+                   std::to_string(seed);
+    schedule.mine = kFreeText;
+    const CrashRun out = RunCrashSchedule(archive(), schedule);
+    restores_ += out.restores;
+    const std::string banner = std::string(kFreeText ? "mined " : "") +
+                               "crash schedule seed " + std::to_string(seed) +
+                               " (" + out.Banner() + ")";
+    ASSERT_TRUE(out.run.eos) << banner;
+    EXPECT_EQ(out.crashes, out.incarnations - 1) << banner;
+    EXPECT_EQ(out.run.records_in, archive().size()) << banner;
+    EXPECT_EQ(out.run.parse_failures, 0u) << banner;
+    // An exact resume offset makes replay re-derive only state the snapshot
+    // does not already hold.
+    EXPECT_EQ(out.replayed_duplicates, 0u) << banner;
+    EXPECT_EQ(out.run.sessions, baseline().sessions) << banner;
+    EXPECT_EQ(out.run.session_digest, baseline().session_digest) << banner;
+    EXPECT_EQ(out.run.store_digest, baseline().store_digest) << banner;
+    EXPECT_EQ(out.run.templates, baseline().templates) << banner;
+    EXPECT_EQ(out.run.template_digest, baseline().template_digest) << banner;
+  }
+
+  // Incarnations, over this test's crash schedules so far, that resumed from
+  // a snapshot. A sweep asserts a floor on it, or the restore path could go
+  // quietly untested (every incarnation cold-starting still converges).
+  uint64_t restores_ = 0;
+
  private:
-  static std::shared_ptr<std::vector<std::string>>* archive_;
-  static RunResult* baseline_;
+  static inline std::shared_ptr<std::vector<std::string>> archive_;
+  static inline RunResult baseline_;
 };
 
-std::shared_ptr<std::vector<std::string>>* FaultConformance::archive_ = nullptr;
-RunResult* FaultConformance::baseline_ = nullptr;
+class FaultConformance : public ArchiveSuite<false> {};
 
 TEST_F(FaultConformance, FaultFreeTransportMatchesInMemory) {
   // Schedule zero: empty plans. The socket path with injectors wired but
@@ -347,6 +240,14 @@ TEST_F(FaultConformance, CorruptingSchedulesSurviveWithAccounting) {
     EXPECT_GE(run.records_in + corrupt_budget, archive().size())
         << "seed " << seed;
   }
+}
+
+TEST_F(FaultConformance, ExploratorySeedFromEnvironment) {
+  // A handful of schedules derived from the environment seed, both profiles.
+  uint64_t i = 0;
+  RunExploratorySeeds(8, 7919, "transport schedules", [&](uint64_t seed) {
+    CheckSeed(seed, i++ % 2 == 0 ? "mild" : "aggressive");
+  });
 }
 
 // --- Deterministic severing (satellite S2) ---
@@ -435,239 +336,11 @@ TEST_F(FaultBoundary, KillMidRecordWithPartiallyFlushedBufferResumes) {
 
 // --- Full-process crash/recovery schedules (ts_ckpt) ---
 //
-// Each schedule simulates kill -9 + restart of the sessionizer process while
-// the log server stays up: an "incarnation" builds a fresh Checkpointer,
-// SessionStore, LivePipeline, and SocketIngestSource, restores the newest
-// valid snapshot, resumes the stream from its offset, then — at a seeded
-// absolute record position, possibly mid-batch — abandons everything without
-// any shutdown checkpoint (in-flight state is simply lost, like SIGKILL).
-// Checkpoints are taken on a seeded record cadence; the worker count is
-// re-drawn per incarnation, so restores also cross shard layouts. The final
-// incarnation's digests must match the fault-free in-memory baseline exactly.
+// RunCrashSchedule (tests/live_node_test_util.h) kills and restarts a
+// LiveNode 1-3 times at seeded, record-exact positions; the final
+// incarnation's digests must match the fault-free in-memory baseline.
 
-struct CrashRunResult {
-  RunResult run;
-  int incarnations = 0;
-  int crashes = 0;
-  uint64_t snapshots_written = 0;
-  uint64_t replayed_duplicates = 0;  // Closed sessions already in the store.
-};
-
-// One full kill-9/restart schedule against `archive_lines`. With `mine` set
-// every incarnation runs the template miner, each snapshot carries its state
-// ('T' frame), and the restore must resume mining exactly where the snapshot
-// left off — the final dictionary digest is asserted against a fault-free run.
-CrashRunResult RunCrashSchedule(
-    std::shared_ptr<std::vector<std::string>> archive_lines, uint64_t seed,
-    bool mine) {
-  CrashRunResult out;
-  Rng rng(seed ^ 0xCDB4D88C6A2E9C01ULL);
-  const uint64_t total = archive_lines->size();
-
-  const std::string dir = ::testing::TempDir() + "ts_crash_" +
-                          std::to_string(::getpid()) + "_" +
-                          (mine ? "m" : "p") + std::to_string(seed);
-  const std::string cleanup = "rm -rf '" + dir + "'";
-  EXPECT_EQ(std::system(cleanup.c_str()), 0);
-
-  LogServerOptions server_options;
-  LogServer server(server_options, archive_lines);
-  EXPECT_TRUE(server.Start());
-  std::thread server_thread([&server] { server.Run(); });
-
-  // 1-3 kills per schedule, then the last incarnation runs to EOS. A hard
-  // incarnation cap guards against a restore bug looping forever.
-  int crashes_left = 1 + static_cast<int>(rng.NextBelow(3));
-  bool eos = false;
-  for (int incarnation = 0; incarnation < 16 && !eos; ++incarnation) {
-    ++out.incarnations;
-
-    CheckpointerOptions ckpt_options;
-    ckpt_options.dir = dir;
-    ckpt_options.retain = 2 + static_cast<size_t>(rng.NextBelow(2));
-    ckpt_options.interval_ms = 0;  // Record-count cadence below.
-    Checkpointer ckpt(ckpt_options);
-    CheckpointState state;
-    ckpt.RestoreLatest(&state);
-    const uint64_t resume = state.resume_offset;
-    const uint64_t base_records = state.records;
-    const uint64_t base_parse_failures = state.parse_failures;
-    EXPECT_LE(resume, total);
-
-    SessionStore::Options store_options;
-    store_options.max_bytes = 1ull << 30;
-    SessionStore store(store_options);
-    std::mutex mu;
-    std::set<std::string> ids;
-    uint64_t xor_digest = 0;
-    uint64_t sessions = 0;
-    uint64_t duplicates = 0;
-
-    LivePipelineOptions pipeline_options;
-    pipeline_options.workers = 1 + rng.NextBelow(4);
-    pipeline_options.mine_templates = mine;
-    LivePipeline pipeline(pipeline_options, [&](Session&& s) {
-      thread_local std::string scratch;
-      const bool duplicate = store.Contains(s.id, s.fragment_index);
-      const uint64_t d = SessionDigest(s, &scratch);
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (duplicate) {
-          // An exact resume offset makes replay re-derive only state the
-          // snapshot does not already hold; count violations, never merge.
-          ++duplicates;
-          return;
-        }
-        xor_digest ^= d;
-        ++sessions;
-        ids.insert(s.id);
-      }
-      store.Insert(std::move(s));
-    });
-    RestoreLiveCheckpoint(std::move(state), &pipeline, &store);
-    {
-      // Sessions carried over in the snapshot count toward the digests.
-      std::string scratch;
-      store.ForEachSession([&](const Session& s) {
-        xor_digest ^= SessionDigest(s, &scratch);
-        ++sessions;
-        ids.insert(s.id);
-      });
-    }
-
-    SocketIngestOptions client_options;
-    client_options.port = server.port();
-    client_options.backoff_base_ms = 1;
-    client_options.backoff_max_ms = 20;
-    client_options.resume_offset = resume;
-    SocketIngestSource client(client_options);
-
-    // Crash position (absolute record index, may fall mid-batch) and
-    // checkpoint cadence for this incarnation.
-    const bool crash_this = crashes_left > 0 && resume < total;
-    const uint64_t crash_at =
-        crash_this ? resume + 1 + rng.NextBelow(total - resume) : 0;
-    const uint64_t ckpt_every = 100 + rng.NextBelow(900);
-
-    uint64_t fed = resume;   // Absolute position of the next record to feed.
-    uint64_t since_ckpt = 0;
-    bool crashed = false;
-    std::vector<std::string> batch;
-    while (!crashed) {
-      batch.clear();
-      const auto poll = client.PollLines(&batch, /*timeout_ms=*/200);
-      for (auto& line : batch) {
-        if (crash_this && fed == crash_at) {
-          crashed = true;  // SIGKILL: the rest of the batch never lands.
-          break;
-        }
-        pipeline.FeedLine(std::move(line));
-        ++fed;
-        ++since_ckpt;
-      }
-      if (crashed) {
-        break;
-      }
-      pipeline.Flush();
-      if (poll == SocketIngestSource::Poll::kEndOfStream) {
-        eos = true;
-        break;
-      }
-      if (poll == SocketIngestSource::Poll::kFailed) {
-        break;  // Leaves out.run.eos false; the caller fails the seed.
-      }
-      if (since_ckpt >= ckpt_every) {
-        CheckpointState snap =
-            CaptureLiveCheckpoint(&pipeline, store, client.records_received());
-        snap.records += base_records;
-        snap.parse_failures += base_parse_failures;
-        EXPECT_TRUE(ckpt.Write(snap));
-        ++out.snapshots_written;
-        since_ckpt = 0;
-      }
-    }
-    pipeline.Finish();  // Joins workers; a crashed incarnation's state is
-                        // discarded wholesale along with store/digests.
-    if (crashed) {
-      ++out.crashes;
-      --crashes_left;
-      continue;
-    }
-    if (!eos) {
-      break;  // Transport failure: surface as a non-conformant run.
-    }
-    out.run.eos = true;
-    out.run.records_in = base_records + pipeline.records();
-    out.run.parse_failures = base_parse_failures + pipeline.parse_failures();
-    out.run.sessions = sessions;
-    out.run.session_digest = xor_digest;
-    out.run.store_digest = ChainedStoreDigest(store, ids);
-    const auto dict = pipeline.TemplateSnapshot();
-    out.run.templates = dict.size();
-    out.run.template_digest = TemplateDictionaryDigest(dict);
-    out.replayed_duplicates = duplicates;
-  }
-
-  server.Stop();
-  server_thread.join();
-  EXPECT_EQ(std::system(cleanup.c_str()), 0);
-  return out;
-}
-
-// Runs one seeded kill-9/restart schedule and asserts the recovered run is
-// indistinguishable from the fault-free baseline. With `mine` the template
-// dictionary must match too: same ids, same hit counts, same learned text.
-void CheckCrashConformance(std::shared_ptr<std::vector<std::string>> archive,
-                           const RunResult& baseline, uint64_t seed,
-                           bool mine) {
-  const CrashRunResult out = RunCrashSchedule(archive, seed, mine);
-  const std::string banner =
-      std::string(mine ? "mined " : "") + "crash schedule seed " +
-      std::to_string(seed) + " (" + std::to_string(out.crashes) +
-      " crash(es), " + std::to_string(out.incarnations) + " incarnation(s), " +
-      std::to_string(out.snapshots_written) + " snapshot(s))";
-  ASSERT_TRUE(out.run.eos) << banner;
-  EXPECT_EQ(out.crashes, out.incarnations - 1) << banner;
-  EXPECT_EQ(out.run.records_in, archive->size()) << banner;
-  EXPECT_EQ(out.run.parse_failures, 0u) << banner;
-  EXPECT_EQ(out.replayed_duplicates, 0u) << banner;
-  EXPECT_EQ(out.run.sessions, baseline.sessions) << banner;
-  EXPECT_EQ(out.run.session_digest, baseline.session_digest) << banner;
-  EXPECT_EQ(out.run.store_digest, baseline.store_digest) << banner;
-  if (mine) {
-    EXPECT_GT(out.run.templates, 0u) << banner;
-    EXPECT_EQ(out.run.templates, baseline.templates) << banner;
-    EXPECT_EQ(out.run.template_digest, baseline.template_digest) << banner;
-  }
-}
-
-class CrashRecovery : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    archive_ = new std::shared_ptr<std::vector<std::string>>(
-        MakeArchive(/*records_per_sec=*/2'000, /*seconds=*/2));
-    baseline_ = new RunResult(RunInMemory(**archive_));
-    ASSERT_GT((*archive_)->size(), 2'000u);
-    ASSERT_GT(baseline_->sessions, 0u);
-  }
-  static void TearDownTestSuite() {
-    delete archive_;
-    delete baseline_;
-    archive_ = nullptr;
-    baseline_ = nullptr;
-  }
-
-  void CheckCrashSeed(uint64_t seed) {
-    CheckCrashConformance(*archive_, *baseline_, seed, /*mine=*/false);
-  }
-
- private:
-  static std::shared_ptr<std::vector<std::string>>* archive_;
-  static RunResult* baseline_;
-};
-
-std::shared_ptr<std::vector<std::string>>* CrashRecovery::archive_ = nullptr;
-RunResult* CrashRecovery::baseline_ = nullptr;
+class CrashRecovery : public ArchiveSuite<false> {};
 
 TEST_F(CrashRecovery, FirstFiftyKillRestartSchedules) {
   for (uint64_t seed = 0; seed < 50; ++seed) {
@@ -676,6 +349,7 @@ TEST_F(CrashRecovery, FirstFiftyKillRestartSchedules) {
       return;  // The banner already names the seed.
     }
   }
+  EXPECT_GE(restores_, 40u);
 }
 
 TEST_F(CrashRecovery, SecondFiftyKillRestartSchedules) {
@@ -685,6 +359,7 @@ TEST_F(CrashRecovery, SecondFiftyKillRestartSchedules) {
       return;
     }
   }
+  EXPECT_GE(restores_, 40u);
 }
 
 TEST_F(CrashRecovery, ColdStartWithEmptyCheckpointDirMatchesBaseline) {
@@ -694,27 +369,8 @@ TEST_F(CrashRecovery, ColdStartWithEmptyCheckpointDirMatchesBaseline) {
 }
 
 TEST_F(CrashRecovery, ExploratorySeedFromEnvironment) {
-  const char* seed_text = std::getenv("TS_FAULT_SEED");
-  if (seed_text == nullptr || *seed_text == '\0') {
-    GTEST_SKIP() << "set TS_FAULT_SEED to run exploratory crash schedules";
-  }
-  const uint64_t base = std::strtoull(seed_text, nullptr, 10);
-  const uint64_t schedules = 4 * ScheduleMultiplier();
-  for (uint64_t i = 0; i < schedules && !HasFailure(); ++i) {
-    CheckCrashSeed(base + i * 104'729);
-  }
-  if (HasFailure()) {
-    if (const char* artifact = std::getenv("TS_FAULT_ARTIFACT")) {
-      FILE* f = std::fopen(artifact, "a");
-      if (f != nullptr) {
-        std::fprintf(f,
-                     "# ts_ckpt exploratory crash-schedule failure\n"
-                     "TS_FAULT_SEED=%llu\n",
-                     static_cast<unsigned long long>(base));
-        std::fclose(f);
-      }
-    }
-  }
+  RunExploratorySeeds(4, 104'729, "crash schedules",
+                      [&](uint64_t seed) { CheckCrashSeed(seed); });
 }
 
 // --- Template-mining conformance lanes (ts_parse) ---
@@ -726,64 +382,7 @@ TEST_F(CrashRecovery, ExploratorySeedFromEnvironment) {
 // 'T' frame must restore the miner exactly, or replayed records would split
 // into fresh template ids and every digest below would diverge).
 
-class TemplateFaultConformance : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    archive_ = new std::shared_ptr<std::vector<std::string>>(MakeArchive(
-        /*records_per_sec=*/2'000, /*seconds=*/2, /*free_text=*/true));
-    baseline_ = new RunResult(RunInMemory(**archive_, /*mine=*/true));
-    ASSERT_GT((*archive_)->size(), 2'000u);
-    ASSERT_GT(baseline_->sessions, 0u);
-    ASSERT_GT(baseline_->templates, 0u);
-  }
-  static void TearDownTestSuite() {
-    delete archive_;
-    delete baseline_;
-    archive_ = nullptr;
-    baseline_ = nullptr;
-  }
-
-  static const std::vector<std::string>& archive() { return **archive_; }
-  static std::shared_ptr<const std::vector<std::string>> archive_ptr() {
-    return *archive_;
-  }
-  static const RunResult& baseline() { return *baseline_; }
-
-  // One seeded fault schedule with mining on: full conformance plus an
-  // identical template dictionary (ids, hit counts, learned text).
-  void CheckMinedSeed(uint64_t seed, const std::string& profile) {
-    FaultProfile resolved;
-    ASSERT_TRUE(
-        FaultPlan::ResolveProfile(profile, WireBytes(archive()), &resolved));
-    const FaultPlan client_plan =
-        FaultPlan::FromSeed(seed * 2 + 1, profile, resolved);
-    const FaultPlan server_plan =
-        FaultPlan::FromSeed(seed * 2 + 2, profile, resolved);
-    const std::string replay = "mined seed " + std::to_string(seed) +
-                               " — replay with:\n--- client plan ---\n" +
-                               client_plan.ToText() + "--- server plan ---\n" +
-                               server_plan.ToText();
-
-    const RunResult run = RunOverFaultyTransport(*archive_, client_plan,
-                                                 server_plan, /*mine=*/true);
-    ASSERT_TRUE(run.eos) << replay;
-    EXPECT_EQ(run.records_in, archive().size()) << replay;
-    EXPECT_EQ(run.parse_failures, 0u) << replay;
-    EXPECT_EQ(run.sessions, baseline().sessions) << replay;
-    EXPECT_EQ(run.session_digest, baseline().session_digest) << replay;
-    EXPECT_EQ(run.store_digest, baseline().store_digest) << replay;
-    EXPECT_EQ(run.templates, baseline().templates) << replay;
-    EXPECT_EQ(run.template_digest, baseline().template_digest) << replay;
-  }
-
- private:
-  static std::shared_ptr<std::vector<std::string>>* archive_;
-  static RunResult* baseline_;
-};
-
-std::shared_ptr<std::vector<std::string>>* TemplateFaultConformance::archive_ =
-    nullptr;
-RunResult* TemplateFaultConformance::baseline_ = nullptr;
+class TemplateFaultConformance : public ArchiveSuite<true> {};
 
 TEST_F(TemplateFaultConformance, FaultFreeMinedTransportMatchesInMemory) {
   const RunResult run = RunOverFaultyTransport(archive_ptr(), FaultPlan{},
@@ -799,7 +398,7 @@ TEST_F(TemplateFaultConformance, FaultFreeMinedTransportMatchesInMemory) {
 
 TEST_F(TemplateFaultConformance, MinedMildSchedules) {
   for (uint64_t seed = 300; seed < 310; ++seed) {
-    CheckMinedSeed(seed, "mild");
+    CheckSeed(seed, "mild");
     if (HasFatalFailure() || HasNonfatalFailure()) {
       return;  // The replay banner already names the seed.
     }
@@ -808,42 +407,14 @@ TEST_F(TemplateFaultConformance, MinedMildSchedules) {
 
 TEST_F(TemplateFaultConformance, MinedAggressiveSchedules) {
   for (uint64_t seed = 310; seed < 320; ++seed) {
-    CheckMinedSeed(seed, "aggressive");
+    CheckSeed(seed, "aggressive");
     if (HasFatalFailure() || HasNonfatalFailure()) {
       return;
     }
   }
 }
 
-class TemplateCrashRecovery : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    archive_ = new std::shared_ptr<std::vector<std::string>>(MakeArchive(
-        /*records_per_sec=*/2'000, /*seconds=*/2, /*free_text=*/true));
-    baseline_ = new RunResult(RunInMemory(**archive_, /*mine=*/true));
-    ASSERT_GT((*archive_)->size(), 2'000u);
-    ASSERT_GT(baseline_->sessions, 0u);
-    ASSERT_GT(baseline_->templates, 0u);
-  }
-  static void TearDownTestSuite() {
-    delete archive_;
-    delete baseline_;
-    archive_ = nullptr;
-    baseline_ = nullptr;
-  }
-
-  void CheckMinedCrashSeed(uint64_t seed) {
-    CheckCrashConformance(*archive_, *baseline_, seed, /*mine=*/true);
-  }
-
- private:
-  static std::shared_ptr<std::vector<std::string>>* archive_;
-  static RunResult* baseline_;
-};
-
-std::shared_ptr<std::vector<std::string>>* TemplateCrashRecovery::archive_ =
-    nullptr;
-RunResult* TemplateCrashRecovery::baseline_ = nullptr;
+class TemplateCrashRecovery : public ArchiveSuite<true> {};
 
 TEST_F(TemplateCrashRecovery, TwentyKillRestartSchedulesRestoreMinerExactly) {
   // Every snapshot in these schedules carries the miner's 'T' frame; every
@@ -851,17 +422,18 @@ TEST_F(TemplateCrashRecovery, TwentyKillRestartSchedulesRestoreMinerExactly) {
   // final dictionaries prove restore is exact — a miner that cold-started
   // would re-learn different ids for the replayed suffix.
   for (uint64_t seed = 0; seed < 20; ++seed) {
-    CheckMinedCrashSeed(seed);
+    CheckCrashSeed(seed);
     if (HasFatalFailure() || HasNonfatalFailure()) {
       return;  // The banner already names the seed.
     }
   }
+  EXPECT_GE(restores_, 15u);
 }
 
 TEST_F(TemplateCrashRecovery, ColdStartMinedScheduleMatchesBaseline) {
   // First incarnation restores nothing: the miner must build from scratch,
   // then survive the schedule's later kills via the 'T' frame.
-  CheckMinedCrashSeed(7919);
+  CheckCrashSeed(7919);
 }
 
 // --- Cold-tier (tiered store) crash conformance ---
@@ -870,9 +442,9 @@ TEST_F(TemplateCrashRecovery, ColdStartMinedScheduleMatchesBaseline) {
 // tiny: most closed sessions are evicted into an on-disk ColdTier that
 // persists across incarnations exactly like the checkpoint directory, and
 // every snapshot write is preceded by the FlushPending durability barrier.
-// Kills land mid-spill by construction (Abandon() models the SIGKILL
-// instant: whatever the spill thread had not yet made durable is lost, and
-// the next incarnation re-discovers only the segments that really hit disk).
+// Kills land mid-spill by construction (Kill() models the SIGKILL instant:
+// whatever the spill thread had not yet made durable is lost, and the next
+// incarnation re-discovers only the segments that really hit disk).
 // The conformance bar: after the final incarnation reaches EOS, the tiered
 // digest over hot ∪ cold is byte-identical to an unbounded fault-free
 // baseline — evictions, spills, restarts and kills lose nothing and invent
@@ -880,244 +452,31 @@ TEST_F(TemplateCrashRecovery, ColdStartMinedScheduleMatchesBaseline) {
 // session evicted and made durable before a crash re-derives on replay and
 // is deduplicated against the cold index instead of being re-inserted.
 
-struct ColdCrashRunResult {
-  bool eos = false;
-  int incarnations = 0;
-  int crashes = 0;
-  uint64_t snapshots_written = 0;
-  uint64_t records_in = 0;
-  uint64_t parse_failures = 0;
-  uint64_t replayed_duplicates = 0;
-  uint64_t sessions = 0;       // |hot ∪ cold| (id, fragment) pairs.
-  uint64_t cold_sessions = 0;  // Final incarnation's cold-tier population.
-  uint64_t cold_segments = 0;
-  uint64_t tiered_digest = 0;  // Chained digest over hot ∪ cold.
-};
-
-ColdCrashRunResult RunColdCrashSchedule(
-    std::shared_ptr<std::vector<std::string>> archive_lines, uint64_t seed) {
-  ColdCrashRunResult out;
-  Rng rng(seed ^ 0xCDB4D88C6A2E9C01ULL);
-  const uint64_t total = archive_lines->size();
-
-  const std::string base_dir = ::testing::TempDir() + "ts_coldcrash_" +
-                               std::to_string(::getpid()) + "_" +
-                               std::to_string(seed);
-  const std::string cleanup = "rm -rf '" + base_dir + "'";
-  EXPECT_EQ(std::system(cleanup.c_str()), 0);
-  const std::string ckpt_dir = base_dir + "/ckpt";
-  const std::string cold_dir = base_dir + "/cold";
-  EXPECT_EQ(std::system(("mkdir -p '" + base_dir + "'").c_str()), 0);
-
-  LogServerOptions server_options;
-  LogServer server(server_options, archive_lines);
-  EXPECT_TRUE(server.Start());
-  std::thread server_thread([&server] { server.Run(); });
-
-  int crashes_left = 1 + static_cast<int>(rng.NextBelow(3));
-  bool eos = false;
-  for (int incarnation = 0; incarnation < 16 && !eos; ++incarnation) {
-    ++out.incarnations;
-
-    CheckpointerOptions ckpt_options;
-    ckpt_options.dir = ckpt_dir;
-    ckpt_options.retain = 2 + static_cast<size_t>(rng.NextBelow(2));
-    ckpt_options.interval_ms = 0;
-    Checkpointer ckpt(ckpt_options);
-    CheckpointState state;
-    ckpt.RestoreLatest(&state);
-    const uint64_t resume = state.resume_offset;
-    const uint64_t base_records = state.records;
-    const uint64_t base_parse_failures = state.parse_failures;
-    EXPECT_LE(resume, total);
-
-    // Fresh ColdTier per incarnation, same directory: a restart re-discovers
-    // exactly the segments the previous incarnation made durable. Declared
-    // before the store so eviction-sink appends can never outlive it.
-    ColdTierOptions cold_options;
-    cold_options.dir = cold_dir;
-    cold_options.segment_target_bytes = 16u << 10;  // Many small segments.
-    ColdTier cold(cold_options);
-    EXPECT_TRUE(cold.Start());
-
-    // A hot window far smaller than the archive's session volume, so the
-    // schedule spends its whole life evicting through the spill path.
-    SessionStore::Options store_options;
-    store_options.max_bytes = 64u << 10;
-    SessionStore store(store_options);
-    store.SetEvictionSink([&cold](Session&& s) { cold.Append(std::move(s)); },
-                          [&cold] { cold.WaitForSpace(); });
-    std::atomic<uint64_t> duplicates{0};
-
-    LivePipelineOptions pipeline_options;
-    pipeline_options.workers = 1 + rng.NextBelow(4);
-    LivePipeline pipeline(pipeline_options, [&](Session&& s) {
-      if (store.Contains(s.id, s.fragment_index) ||
-          cold.Contains(s.id, s.fragment_index)) {
-        // Already hot (restored in the snapshot) or already durable cold:
-        // replay re-derived state the tiers still hold. Never merge.
-        duplicates.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      store.Insert(std::move(s));
-    });
-    RestoreLiveCheckpoint(std::move(state), &pipeline, &store);
-
-    SocketIngestOptions client_options;
-    client_options.port = server.port();
-    client_options.backoff_base_ms = 1;
-    client_options.backoff_max_ms = 20;
-    client_options.resume_offset = resume;
-    SocketIngestSource client(client_options);
-
-    const bool crash_this = crashes_left > 0 && resume < total;
-    const uint64_t crash_at =
-        crash_this ? resume + 1 + rng.NextBelow(total - resume) : 0;
-    const uint64_t ckpt_every = 100 + rng.NextBelow(900);
-
-    uint64_t fed = resume;
-    uint64_t since_ckpt = 0;
-    bool crashed = false;
-    std::vector<std::string> batch;
-    while (!crashed) {
-      batch.clear();
-      const auto poll = client.PollLines(&batch, /*timeout_ms=*/200);
-      for (auto& line : batch) {
-        if (crash_this && fed == crash_at) {
-          crashed = true;  // SIGKILL: the rest of the batch never lands.
-          break;
-        }
-        pipeline.FeedLine(std::move(line));
-        ++fed;
-        ++since_ckpt;
-      }
-      if (crashed) {
-        break;
-      }
-      pipeline.Flush();
-      if (poll == SocketIngestSource::Poll::kEndOfStream) {
-        eos = true;
-        break;
-      }
-      if (poll == SocketIngestSource::Poll::kFailed) {
-        break;
-      }
-      if (since_ckpt >= ckpt_every) {
-        CheckpointState snap =
-            CaptureLiveCheckpoint(&pipeline, store, client.records_received());
-        snap.records += base_records;
-        snap.parse_failures += base_parse_failures;
-        // The durability barrier: every eviction that preceded this capture
-        // must be durable in cold before the snapshot may exist — a restore
-        // from this snapshot will not replay those sessions.
-        EXPECT_TRUE(cold.FlushPending());
-        EXPECT_TRUE(ckpt.Write(snap));
-        ++out.snapshots_written;
-        since_ckpt = 0;
-      }
-    }
-    if (crashed) {
-      // The kill instant. Everything after this — including the force-closed
-      // partial sessions pipeline.Finish() flushes below — belongs to a dead
-      // process and must never reach disk, or the truncated versions would
-      // shadow the correct ones on replay.
-      cold.Abandon();
-    }
-    pipeline.Finish();
-    if (crashed) {
-      ++out.crashes;
-      --crashes_left;
-      continue;
-    }
-    if (!eos) {
-      break;  // Transport failure: surface as a non-conformant run.
-    }
-    EXPECT_TRUE(cold.FlushPending());
-    out.eos = true;
-    out.records_in = base_records + pipeline.records();
-    out.parse_failures = base_parse_failures + pipeline.parse_failures();
-    out.replayed_duplicates = duplicates.load(std::memory_order_relaxed);
-    const ColdTier::Stats cold_stats = cold.stats();
-    out.cold_sessions = cold_stats.sessions;
-    out.cold_segments = cold_stats.segments;
-    EXPECT_EQ(cold_stats.pending, 0u);
-    EXPECT_EQ(cold_stats.write_failures, 0u);
-    EXPECT_EQ(cold_stats.corrupt, 0u);
-
-    // TieredDigest over hot ∪ cold, counting merged (id, fragment) pairs in
-    // the same pass so `sessions` is comparable to the baseline's closes.
-    std::set<std::string> all_ids;
-    store.ForEachSession([&](const Session& s) { all_ids.insert(s.id); });
-    cold.ForEachId([&](const std::string& id) { all_ids.insert(id); });
-    std::string canon;
-    for (const auto& id : all_ids) {
-      const std::vector<Session> merged = MergeTieredFragments(
-          store.GetAllFragments(id), cold.GetAllFragments(id));
-      for (const auto& s : merged) {
-        out.tiered_digest ^= SessionDigest(s, &canon);
-        out.tiered_digest = SipHash24(out.tiered_digest);
-      }
-      out.sessions += merged.size();
-    }
-  }
-
-  server.Stop();
-  server_thread.join();
-  EXPECT_EQ(std::system(cleanup.c_str()), 0);
-  return out;
-}
-
-void CheckColdCrashConformance(
-    std::shared_ptr<std::vector<std::string>> archive,
-    const RunResult& baseline, uint64_t seed) {
-  const ColdCrashRunResult out = RunColdCrashSchedule(archive, seed);
-  const std::string banner =
-      "cold crash schedule seed " + std::to_string(seed) + " (" +
-      std::to_string(out.crashes) + " crash(es), " +
-      std::to_string(out.incarnations) + " incarnation(s), " +
-      std::to_string(out.snapshots_written) + " snapshot(s), " +
-      std::to_string(out.cold_segments) + " cold segment(s), " +
-      std::to_string(out.replayed_duplicates) + " replayed duplicate(s))";
-  ASSERT_TRUE(out.eos) << banner;
-  EXPECT_EQ(out.crashes, out.incarnations - 1) << banner;
-  EXPECT_EQ(out.records_in, archive->size()) << banner;
-  EXPECT_EQ(out.parse_failures, 0u) << banner;
-  // The hot window is tiny by construction; a schedule that never spilled
-  // would be testing nothing.
-  EXPECT_GT(out.cold_sessions, 0u) << banner;
-  EXPECT_GE(out.cold_segments, 1u) << banner;
-  EXPECT_EQ(out.sessions, baseline.sessions) << banner;
-  EXPECT_EQ(out.tiered_digest, baseline.store_digest) << banner;
-}
-
-class ColdTierFaultConformance : public ::testing::Test {
+class ColdTierFaultConformance : public ArchiveSuite<false> {
  protected:
-  static void SetUpTestSuite() {
-    archive_ = new std::shared_ptr<std::vector<std::string>>(
-        MakeArchive(/*records_per_sec=*/2'000, /*seconds=*/2));
-    baseline_ = new RunResult(RunInMemory(**archive_));
-    ASSERT_GT((*archive_)->size(), 2'000u);
-    ASSERT_GT(baseline_->sessions, 0u);
-  }
-  static void TearDownTestSuite() {
-    delete archive_;
-    delete baseline_;
-    archive_ = nullptr;
-    baseline_ = nullptr;
-  }
-
   void CheckColdSeed(uint64_t seed) {
-    CheckColdCrashConformance(*archive_, *baseline_, seed);
+    CrashSchedule schedule;
+    schedule.seed = seed;
+    schedule.salt = 0xCDB4D88C6A2E9C01ULL;
+    schedule.dir = ::testing::TempDir() + "ts_coldcrash_" +
+                   std::to_string(::getpid()) + "_" + std::to_string(seed);
+    schedule.tiered = true;
+    const CrashRun out = RunCrashSchedule(archive(), schedule);
+    restores_ += out.restores;
+    const std::string banner = "cold crash schedule seed " +
+                               std::to_string(seed) + " (" + out.Banner() + ")";
+    ASSERT_TRUE(out.run.eos) << banner;
+    EXPECT_EQ(out.crashes, out.incarnations - 1) << banner;
+    EXPECT_EQ(out.run.records_in, archive().size()) << banner;
+    EXPECT_EQ(out.run.parse_failures, 0u) << banner;
+    // The hot window is tiny by construction; a schedule that never spilled
+    // would be testing nothing.
+    EXPECT_GT(out.cold_sessions, 0u) << banner;
+    EXPECT_GE(out.cold_segments, 1u) << banner;
+    EXPECT_EQ(out.tiered_sessions, baseline().sessions) << banner;
+    EXPECT_EQ(out.tiered_digest, baseline().store_digest) << banner;
   }
-
- private:
-  static std::shared_ptr<std::vector<std::string>>* archive_;
-  static RunResult* baseline_;
 };
-
-std::shared_ptr<std::vector<std::string>>* ColdTierFaultConformance::archive_ =
-    nullptr;
-RunResult* ColdTierFaultConformance::baseline_ = nullptr;
 
 TEST_F(ColdTierFaultConformance, FirstTenKillRestartSchedules) {
   for (uint64_t seed = 0; seed < 10; ++seed) {
@@ -1126,6 +485,7 @@ TEST_F(ColdTierFaultConformance, FirstTenKillRestartSchedules) {
       return;  // The banner already names the seed.
     }
   }
+  EXPECT_GE(restores_, 8u);
 }
 
 TEST_F(ColdTierFaultConformance, SecondTenKillRestartSchedules) {
@@ -1135,58 +495,12 @@ TEST_F(ColdTierFaultConformance, SecondTenKillRestartSchedules) {
       return;
     }
   }
+  EXPECT_GE(restores_, 8u);
 }
 
 TEST_F(ColdTierFaultConformance, ExploratorySeedFromEnvironment) {
-  const char* seed_text = std::getenv("TS_FAULT_SEED");
-  if (seed_text == nullptr || *seed_text == '\0') {
-    GTEST_SKIP() << "set TS_FAULT_SEED to run exploratory cold schedules";
-  }
-  const uint64_t base = std::strtoull(seed_text, nullptr, 10);
-  const uint64_t schedules = 4 * ScheduleMultiplier();
-  for (uint64_t i = 0; i < schedules && !HasFailure(); ++i) {
-    CheckColdSeed(base + i * 104'729);
-  }
-  if (HasFailure()) {
-    if (const char* artifact = std::getenv("TS_FAULT_ARTIFACT")) {
-      FILE* f = std::fopen(artifact, "a");
-      if (f != nullptr) {
-        std::fprintf(f,
-                     "# ts_store exploratory cold-crash-schedule failure\n"
-                     "TS_FAULT_SEED=%llu\n",
-                     static_cast<unsigned long long>(base));
-        std::fclose(f);
-      }
-    }
-  }
-}
-
-// --- Exploratory lane (satellite S5) ---
-
-TEST_F(FaultConformance, ExploratorySeedFromEnvironment) {
-  const char* seed_text = std::getenv("TS_FAULT_SEED");
-  if (seed_text == nullptr || *seed_text == '\0') {
-    GTEST_SKIP() << "set TS_FAULT_SEED to run an exploratory schedule";
-  }
-  const uint64_t base = std::strtoull(seed_text, nullptr, 10);
-  // A handful of schedules derived from the environment seed, both profiles.
-  // The nightly soak widens the sweep via TS_FAULT_SCHEDULE_MULTIPLIER.
-  const uint64_t schedules = 8 * ScheduleMultiplier();
-  for (uint64_t i = 0; i < schedules && !HasFailure(); ++i) {
-    CheckSeed(base + i * 7919, i % 2 == 0 ? "mild" : "aggressive");
-  }
-  if (HasFailure()) {
-    if (const char* artifact = std::getenv("TS_FAULT_ARTIFACT")) {
-      // Persist enough to replay: failing base seed and derived schedule
-      // seeds. CheckSeed's assert output carries the full plan texts.
-      FILE* f = std::fopen(artifact, "w");
-      if (f != nullptr) {
-        std::fprintf(f, "# ts_fault exploratory failure\nTS_FAULT_SEED=%llu\n",
-                     static_cast<unsigned long long>(base));
-        std::fclose(f);
-      }
-    }
-  }
+  RunExploratorySeeds(4, 104'729, "cold-crash schedules",
+                      [&](uint64_t seed) { CheckColdSeed(seed); });
 }
 
 }  // namespace

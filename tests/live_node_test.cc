@@ -1,0 +1,323 @@
+// LiveNode's lifecycle wiring, end to end over loopback TCP: the restore
+// decisions, the gauges that continue across a restart, the replay-window
+// dedupe guard and the final checkpoint's retry loop — the paths that
+// ts_sessionize --connect --serve runs and that the shell smokes used to be
+// the only check of.
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "src/ckpt/checkpointer.h"
+#include "src/node/live_node.h"
+#include "tests/live_node_test_util.h"
+
+namespace ts {
+namespace {
+
+// Collects what a node writes to its log.
+class CapturedLog {
+ public:
+  CapturedLog() : file_(open_memstream(&buf_, &len_)) {}
+  ~CapturedLog() {
+    std::fclose(file_);
+    std::free(buf_);
+  }
+  CapturedLog(const CapturedLog&) = delete;
+  CapturedLog& operator=(const CapturedLog&) = delete;
+  std::FILE* file() const { return file_; }
+  std::string text() {
+    std::fflush(file_);
+    return std::string(buf_, len_);
+  }
+
+ private:
+  char* buf_ = nullptr;
+  size_t len_ = 0;
+  std::FILE* file_;
+};
+
+std::string TempDir(const std::string& tag) {
+  const std::string dir = ::testing::TempDir() + tag + "_" +
+                          std::to_string(::getpid());
+  EXPECT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
+  return dir;
+}
+
+// What a run leaves behind: the close-callback digest and the store's.
+struct NodeRun {
+  uint64_t session_digest = 0;  // XOR over every session the callback saw.
+  uint64_t sessions = 0;
+  uint64_t store_digest = 0;
+  uint64_t ingest_records = 0;
+  uint64_t ingest_parse_failures = 0;
+  uint64_t replayed_duplicates = 0;
+};
+
+// Runs one node incarnation over archive[0, end) to end of stream and shuts
+// it down. `ckpt_dir` empty: no checkpointing.
+NodeRun RunNode(const std::vector<std::string>& archive, uint64_t end,
+                const std::string& ckpt_dir) {
+  PrefixUpstream upstream;
+  LiveNodeOptions options = TestNodeOptions(upstream.port(), /*workers=*/2);
+  // Well inside the 1-2 s traces, so sessions close while the stream flows.
+  options.pipeline.inactivity_ns = 200 * kNanosPerMilli;
+  if (!ckpt_dir.empty()) {
+    options.checkpoint.emplace();
+    options.checkpoint->dir = ckpt_dir;
+    options.checkpoint->interval_ms = 0;
+  }
+  CloseDigest closes;
+  LiveNode node(
+      std::move(options), [&closes](const Session& s) { closes.Add(s); },
+      /*log=*/nullptr);
+  EXPECT_TRUE(node.Start());
+  upstream.Serve(archive, end);
+  node.Run();
+  EXPECT_FALSE(node.transport_failed());
+  node.Shutdown();
+  NodeRun run;
+  run.session_digest = closes.xor_digest;
+  run.sessions = closes.sessions;
+  run.store_digest = ChainedStoreDigest(*node.store(), closes.ids);
+  run.ingest_records = node.ingest_records();
+  run.ingest_parse_failures = node.ingest_parse_failures();
+  run.replayed_duplicates = node.replayed_duplicates();
+  return run;
+}
+
+CheckpointState LatestSnapshot(const std::string& dir) {
+  CheckpointerOptions options;
+  options.dir = dir;
+  Checkpointer ckpt(options);
+  CheckpointState state;
+  EXPECT_TRUE(ckpt.RestoreLatest(&state).restored) << dir;
+  return state;
+}
+
+TEST(LiveNodeRestore, CheckpointForAnotherStreamStartsCold) {
+  const auto archive = MakeArchive(/*records_per_sec=*/2'000, /*seconds=*/1);
+  const std::string dir = TempDir("ts_node_stream");
+  // A checkpoint of stream 0, taken halfway through it.
+  RunNode(*archive, archive->size() / 2, dir);
+  ASSERT_GT(LatestSnapshot(dir).resume_offset, 0u);
+
+  // Stream 1 of 2 on the same directory must not resume from stream 0's
+  // offset or carry its sessions.
+  LogServerOptions server_options;
+  server_options.num_streams = 2;
+  PrefixUpstream upstream(server_options);
+  LiveNodeOptions options = TestNodeOptions(upstream.port(), /*workers=*/2);
+  options.ingest->stream = 1;
+  options.ingest->num_streams = 2;
+  options.checkpoint.emplace();
+  options.checkpoint->dir = dir;
+  CapturedLog log;
+  LiveNode node(std::move(options), nullptr, log.file());
+  ASSERT_TRUE(node.Start());
+  EXPECT_NE(log.text().find("is for stream 0, not 1; starting cold"),
+            std::string::npos)
+      << log.text();
+  EXPECT_EQ(node.records_received(), 0u);
+  EXPECT_EQ(node.store()->stats().sessions, 0u);
+  EXPECT_EQ(node.ingest_records(), 0u);
+
+  upstream.Serve(*archive, archive->size());
+  node.Run();
+  node.Shutdown();
+  // Stream 1 is every odd archive record, all of them consumed from 0.
+  EXPECT_EQ(node.ingest_records(), archive->size() / 2);
+  EXPECT_EQ(LatestSnapshot(dir).stream, 1u);
+  EXPECT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
+}
+
+TEST(LiveNodeRestore, IngestCountersContinueFromRestoredBase) {
+  // Every 100th line is garbage: parse failures to carry across a restart.
+  const auto generated = MakeArchive(/*records_per_sec=*/2'000, /*seconds=*/1);
+  std::vector<std::string> archive;
+  uint64_t garbage = 0;
+  for (size_t i = 0; i < generated->size(); ++i) {
+    if (i % 100 == 0) {
+      archive.push_back("not a wire record " + std::to_string(i));
+      ++garbage;
+    }
+    archive.push_back((*generated)[i]);
+  }
+  const uint64_t cut = archive.size() / 2;
+  const std::string dir = TempDir("ts_node_counters");
+  const NodeRun first = RunNode(archive, cut, dir);
+  ASSERT_GT(first.ingest_parse_failures, 0u);
+  ASSERT_EQ(first.ingest_records + first.ingest_parse_failures, cut);
+
+  PrefixUpstream upstream;
+  LiveNodeOptions options = TestNodeOptions(upstream.port(), /*workers=*/3);
+  options.checkpoint.emplace();
+  options.checkpoint->dir = dir;
+  LiveNode node(std::move(options), nullptr, /*log=*/nullptr);
+  ASSERT_TRUE(node.Start());
+  // Before a single new record: the gauges already read the restored base.
+  EXPECT_EQ(node.records_received(), cut);
+  EXPECT_EQ(Gauge(node, "ingest_records"),
+            static_cast<int64_t>(first.ingest_records));
+  EXPECT_EQ(Gauge(node, "ingest_parse_failures"),
+            static_cast<int64_t>(first.ingest_parse_failures));
+
+  upstream.Serve(archive, archive.size());
+  node.Run();
+  node.Shutdown();
+  EXPECT_EQ(Gauge(node, "ingest_records"),
+            static_cast<int64_t>(generated->size()));
+  EXPECT_EQ(Gauge(node, "ingest_parse_failures"),
+            static_cast<int64_t>(garbage));
+  EXPECT_EQ(node.ingest_records(), generated->size());
+  EXPECT_EQ(node.ingest_parse_failures(), garbage);
+  EXPECT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
+}
+
+TEST(LiveNodeRestore, StaleResumeOffsetIsCaughtByTheDedupeGuard) {
+  const auto archive = MakeArchive(/*records_per_sec=*/2'000, /*seconds=*/2);
+  const uint64_t total = archive->size();
+  const NodeRun baseline = RunNode(*archive, total, "");
+  ASSERT_GT(baseline.sessions, 0u);
+
+  // Snapshot `early` at the halfway offset, then `late` at end of stream.
+  const std::string dir = TempDir("ts_node_stale");
+  RunNode(*archive, total / 2, dir);
+  const CheckpointState early = LatestSnapshot(dir);
+  RunNode(*archive, total, dir);
+  const CheckpointState late = LatestSnapshot(dir);
+  ASSERT_EQ(early.resume_offset, total / 2);
+  ASSERT_GT(late.store_sessions.size(), early.store_sessions.size());
+
+  // A snapshot whose resume offset is stale: the store already holds every
+  // session the stream closes up to its end, but ingest resumes halfway.
+  CheckpointState stale = early;
+  stale.store_sessions = late.store_sessions;
+  stale.store_inserted = late.store_inserted;
+  stale.store_evicted = late.store_evicted;
+  const std::string stale_dir = TempDir("ts_node_stale_ckpt");
+  {
+    CheckpointerOptions options;
+    options.dir = stale_dir;
+    Checkpointer ckpt(options);
+    ASSERT_TRUE(ckpt.Write(stale));
+  }
+
+  // Replaying the second half re-derives every session closed there; each
+  // is already stored, so each is counted and dropped, never merged.
+  const NodeRun replayed = RunNode(*archive, total, stale_dir);
+  EXPECT_EQ(replayed.replayed_duplicates,
+            late.store_sessions.size() - early.store_sessions.size());
+  EXPECT_EQ(replayed.sessions, baseline.sessions);
+  EXPECT_EQ(replayed.session_digest, baseline.session_digest);
+  EXPECT_EQ(replayed.store_digest, baseline.store_digest);
+  EXPECT_EQ(std::system(("rm -rf '" + dir + "' '" + stale_dir + "'").c_str()),
+            0);
+}
+
+// Runs a checkpointing node to end of stream, then shuts it down while the
+// disk fails the next `failing_renames` renames. Returns the node's log.
+std::string ShutdownUnderRenameFaults(const std::string& dir,
+                                      uint64_t failing_renames,
+                                      int64_t* snapshot_failures) {
+  const auto archive = MakeArchive(/*records_per_sec=*/1'000, /*seconds=*/1);
+  PrefixUpstream upstream;
+  LiveNodeOptions options = TestNodeOptions(upstream.port(), /*workers=*/2);
+  options.checkpoint.emplace();
+  options.checkpoint->dir = dir;
+  options.checkpoint->interval_ms = 0;  // The final snapshot is the only one.
+  CapturedLog log;
+  FaultPlan plan;
+  plan.events.push_back({FaultType::kRenameFail, 0, failing_renames});
+  ScriptedDiskInjector disk(std::move(plan));
+  {
+    LiveNode node(std::move(options), nullptr, log.file());
+    EXPECT_TRUE(node.Start());
+    upstream.Serve(*archive, archive->size());
+    node.Run();
+    InstallFsFaultInjector(&disk);
+    node.Shutdown();
+    InstallFsFaultInjector(nullptr);
+    *snapshot_failures = Gauge(node, "ckpt_snapshot_failures");
+  }
+  return log.text();
+}
+
+TEST(LiveNodeFinalCheckpoint, RetriedThroughAFiniteDiskFaultWindowAndLands) {
+  const std::string dir = TempDir("ts_node_final_ok");
+  int64_t failures = 0;
+  const std::string log = ShutdownUnderRenameFaults(dir, 2, &failures);
+  EXPECT_EQ(failures, 2);
+  EXPECT_NE(log.find("final checkpoint at offset"), std::string::npos) << log;
+  EXPECT_EQ(log.find("FAILED"), std::string::npos) << log;
+  EXPECT_GT(LatestSnapshot(dir).resume_offset, 0u);
+  EXPECT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
+}
+
+TEST(LiveNodeFinalCheckpoint, OneThatOutlastsTheRetriesIsReportedFailed) {
+  const std::string dir = TempDir("ts_node_final_failed");
+  int64_t failures = 0;
+  const std::string log = ShutdownUnderRenameFaults(dir, 1'000, &failures);
+  EXPECT_EQ(failures, 6);  // The first write and its five retries.
+  EXPECT_NE(log.find("final checkpoint FAILED (" + dir + " unwritable)"),
+            std::string::npos)
+      << log;
+  CheckpointerOptions options;
+  options.dir = dir;
+  Checkpointer ckpt(options);
+  CheckpointState state;
+  EXPECT_FALSE(ckpt.RestoreLatest(&state).restored);
+  EXPECT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
+}
+
+TEST(LiveNodeFinalCheckpoint, AColdBarrierThatNeverDrainsIsReported) {
+  const std::string dir = TempDir("ts_node_final_barrier");
+  ASSERT_EQ(std::system(("mkdir -p '" + dir + "'").c_str()), 0);
+  const auto archive = MakeArchive(/*records_per_sec=*/2'000, /*seconds=*/2);
+  PrefixUpstream upstream;
+  LiveNodeOptions options = TestNodeOptions(upstream.port(), /*workers=*/2);
+  options.pipeline.inactivity_ns = 200 * kNanosPerMilli;
+  options.store.max_bytes = 16u << 10;  // Evicts while the stream flows.
+  options.cold.emplace();
+  options.cold->dir = dir + "/cold";
+  // Every eviction stays queued until the final barrier, and a failing
+  // spill is retried forever instead of shed.
+  options.cold->segment_target_bytes = options.cold->max_pending_bytes;
+  options.cold->spill_retry_limit = 0;
+  options.cold->spill_backoff_ms = 1;
+  options.checkpoint.emplace();
+  options.checkpoint->dir = dir + "/ckpt";
+  options.checkpoint->interval_ms = 0;
+  CapturedLog log;
+  FaultPlan plan;
+  plan.events.push_back({FaultType::kEnospc, 0, 1'000'000});
+  ScriptedDiskInjector disk(std::move(plan));
+  {
+    LiveNode node(std::move(options), nullptr, log.file());
+    ASSERT_TRUE(node.Start());
+    upstream.Serve(*archive, archive->size());
+    node.Run();
+    // Closes land on the shard workers; wait until some were evicted.
+    for (int i = 0; i < 500 && node.cold()->stats().pending == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ASSERT_GT(node.cold()->stats().pending, 0u);
+    InstallFsFaultInjector(&disk);
+    node.Shutdown();
+    InstallFsFaultInjector(nullptr);
+  }
+  const std::string text = log.text();
+  EXPECT_NE(text.find("cold spill barrier did not drain before the final "
+                      "checkpoint (" + dir + "/cold)"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("final checkpoint FAILED"), std::string::npos) << text;
+  EXPECT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
+}
+
+}  // namespace
+}  // namespace ts

@@ -87,6 +87,16 @@ SocketIngestOptions ClientOptions(uint16_t port) {
   return options;
 }
 
+// One PollBlock, its lines copied out onto *received.
+SocketIngestSource::Poll PollInto(SocketIngestSource* client,
+                                  std::vector<std::string>* received,
+                                  int timeout_ms) {
+  LineBlock block;
+  const auto poll = client->PollBlock(&block, timeout_ms);
+  received->insert(received->end(), block.lines.begin(), block.lines.end());
+  return poll;
+}
+
 TEST(NetTransport, LoopbackRoundTripByteForByte) {
   auto archive = MakeArchive(3'000, 3);
   ASSERT_GT(archive->size(), 1'000u);
@@ -187,7 +197,7 @@ TEST(NetTransport, ServerKillMidStreamReconnectAndResume) {
   // (usually mid-record) with no #EOS in sight.
   std::vector<std::string> received;
   while (received.size() < 500) {
-    const auto poll = client.PollLines(&received, /*timeout_ms=*/200);
+    const auto poll = PollInto(&client, &received, /*timeout_ms=*/200);
     ASSERT_NE(poll, SocketIngestSource::Poll::kEndOfStream);
     ASSERT_NE(poll, SocketIngestSource::Poll::kFailed);
   }
@@ -198,7 +208,7 @@ TEST(NetTransport, ServerKillMidStreamReconnectAndResume) {
   // drop, and start its backoff loop against a dead port before the
   // replacement server binds. (Records already in flight still count.)
   for (int i = 0; i < 3; ++i) {
-    const auto poll = client.PollLines(&received, /*timeout_ms=*/10);
+    const auto poll = PollInto(&client, &received, /*timeout_ms=*/10);
     ASSERT_NE(poll, SocketIngestSource::Poll::kEndOfStream);
     ASSERT_NE(poll, SocketIngestSource::Poll::kFailed);
   }
@@ -233,7 +243,7 @@ TEST(NetTransport, ConnectRetriesUntilServerAppears) {
   std::vector<std::string> received;
   // A few polls against nothing: all idle, backing off.
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(client.PollLines(&received, 10), SocketIngestSource::Poll::kIdle);
+    EXPECT_EQ(PollInto(&client, &received, 10), SocketIngestSource::Poll::kIdle);
   }
   EXPECT_TRUE(received.empty());
 

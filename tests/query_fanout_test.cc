@@ -12,11 +12,13 @@
 // subscriber. Runs under TSan in CI (see the tsan job's filter), so the
 // fan-out path is also exercised for races, not just accounting.
 #include <sys/resource.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,7 +27,9 @@
 
 #include "src/analytics/session_store.h"
 #include "src/common/time_util.h"
+#include "src/net/net_util.h"
 #include "src/query/query_client.h"
+#include "src/query/query_protocol.h"
 #include "src/query/query_server.h"
 
 namespace ts {
@@ -53,6 +57,18 @@ Session MakeSession(const std::string& id, EventTime start_ns,
   s.last_epoch = s.first_epoch + 1;
   s.closed_at = s.last_epoch;
   return s;
+}
+
+// The size the kernel really grants a socket buffer pinned the way the query
+// server and client pin theirs (Linux doubles the request for bookkeeping).
+int GrantedSockBuf(int option, int bytes) {
+  FdGuard fd(::socket(AF_INET, SOCK_STREAM, 0));
+  EXPECT_TRUE(option == SO_SNDBUF ? SetSendBufferSize(fd.get(), bytes)
+                                  : SetRecvBufferSize(fd.get(), bytes));
+  int granted = 0;
+  socklen_t len = sizeof(granted);
+  EXPECT_EQ(getsockopt(fd.get(), SOL_SOCKET, option, &granted, &len), 0);
+  return granted;
 }
 
 // Raises RLIMIT_NOFILE enough for the client herd + server sides. Returns
@@ -111,27 +127,34 @@ struct SubscriberPlan {
 
 TEST(QueryFanout, FiveHundredSubscribersAccountExactly) {
   constexpr size_t kClients = 520;
-  constexpr size_t kSessions = 120;
+  constexpr size_t kSessions = 4500;
+  constexpr int kStalledRcvBuf = 16 << 10;
   if (!EnsureFdBudget(4096)) {
     GTEST_SKIP() << "RLIMIT_NOFILE too low for " << kClients << " clients";
   }
 
-  auto store = std::make_shared<SessionStore>(SessionStore::Options{});
-  auto metrics = std::make_shared<MetricsRegistry>();
   QueryServerOptions options;
   // Small per-connection budgets so the stalled subscribers actually drop:
   // the contract is exact accounting, not lossless delivery.
   options.max_conn_buffer_bytes = 8u << 10;
   options.conn_sock_buf_bytes = 16u << 10;
-  QueryServer server(options, store, metrics);
-  ASSERT_TRUE(server.Start());
-  std::thread server_thread([&] { server.Run(); });
 
+  // kSessions deterministic sessions to close. Ids carry one of 7 prefixes
+  // and each session touches 2 of 8 services, so every filter matches a
+  // strict, precomputable subset.
+  std::vector<Session> closed;
+  closed.reserve(kSessions);
+  for (size_t j = 0; j < kSessions; ++j) {
+    closed.push_back(MakeSession(
+        "P" + std::to_string(j % 7) + "-" + std::to_string(j),
+        static_cast<EventTime>(j) * kNanosPerMilli,
+        {static_cast<uint32_t>(j % 5), 5 + static_cast<uint32_t>(j % 3)}));
+  }
   // The herd: a deterministic mix of unfiltered, service-filtered and
-  // prefix-filtered subscribers; every 13th is stalled behind a pinned
-  // 4 KiB receive buffer and never reads until the drain phase.
+  // prefix-filtered subscribers; every 13th, of every kind, is stalled
+  // behind a pinned 16 KiB receive buffer and never reads until the drain
+  // phase. (A much smaller receive window makes the drain crawl.)
   std::vector<SubscriberPlan> plans(kClients);
-  std::vector<std::unique_ptr<QueryClient>> clients(kClients);
   for (size_t i = 0; i < kClients; ++i) {
     SubscriberPlan& plan = plans[i];
     switch (i % 4) {
@@ -149,11 +172,54 @@ TEST(QueryFanout, FiveHundredSubscribersAccountExactly) {
         break;
     }
     plan.stalled = (i % 13) == 0;
+  }
 
+  // Drops are certain by construction: every stalled subscriber is owed
+  // more bytes — its filter's share of the closes — than its connection can
+  // park anywhere: the server's staging budget, the server socket's send
+  // buffer and the client socket's receive buffer, as granted by the kernel.
+  std::vector<size_t> block_bytes;
+  block_bytes.reserve(kSessions);
+  size_t owed_bytes = 0;
+  for (const auto& s : closed) {
+    block_bytes.push_back(EncodeSessionBlock(s).size());
+    owed_bytes += block_bytes.back();
+  }
+  const size_t parkable_bytes =
+      options.max_conn_buffer_bytes +
+      static_cast<size_t>(
+          GrantedSockBuf(SO_SNDBUF, options.conn_sock_buf_bytes)) +
+      static_cast<size_t>(GrantedSockBuf(SO_RCVBUF, kStalledRcvBuf));
+  ASSERT_GT(owed_bytes, 2 * parkable_bytes);
+  std::set<SubscriberPlan::Kind> stalled_kinds;
+  for (size_t i = 0; i < kClients; ++i) {
+    if (!plans[i].stalled) {
+      continue;
+    }
+    stalled_kinds.insert(plans[i].kind);
+    size_t plan_owed = 0;
+    for (size_t j = 0; j < kSessions; ++j) {
+      plan_owed += plans[i].Matches(closed[j]) ? block_bytes[j] : 0;
+    }
+    ASSERT_GT(plan_owed, parkable_bytes)
+        << "stalled client " << i << " filter '" << plans[i].FilterToken()
+        << "'";
+  }
+  ASSERT_EQ(stalled_kinds.size(), 3u);  // Unfiltered, service and prefix.
+
+  auto store = std::make_shared<SessionStore>(SessionStore::Options{});
+  auto metrics = std::make_shared<MetricsRegistry>();
+  QueryServer server(options, store, metrics);
+  ASSERT_TRUE(server.Start());
+  std::thread server_thread([&] { server.Run(); });
+
+  std::vector<std::unique_ptr<QueryClient>> clients(kClients);
+  for (size_t i = 0; i < kClients; ++i) {
+    const SubscriberPlan& plan = plans[i];
     QueryClientOptions client_options;
     client_options.port = server.port();
     if (plan.stalled) {
-      client_options.sock_buf_bytes = 4096;
+      client_options.sock_buf_bytes = kStalledRcvBuf;
     }
     clients[i] = std::make_unique<QueryClient>(client_options);
     ASSERT_TRUE(clients[i]->Connect()) << "client " << i;
@@ -162,17 +228,7 @@ TEST(QueryFanout, FiveHundredSubscribersAccountExactly) {
   }
   ASSERT_EQ(server.subscriber_count(), kClients);
 
-  // Close kSessions deterministic sessions. Ids carry one of 7 prefixes and
-  // each session touches 2 of 8 services, so every filter matches a strict,
-  // precomputable subset.
-  std::vector<Session> closed;
-  closed.reserve(kSessions);
-  for (size_t j = 0; j < kSessions; ++j) {
-    closed.push_back(MakeSession(
-        "P" + std::to_string(j % 7) + "-" + std::to_string(j),
-        static_cast<EventTime>(j) * kNanosPerMilli,
-        {static_cast<uint32_t>(j % 5), 5 + static_cast<uint32_t>(j % 3)}));
-  }
+  // Close them all.
   for (const auto& s : closed) {
     store->Insert(Session(s));
   }
@@ -258,10 +314,13 @@ TEST(QueryFanout, FiveHundredSubscribersAccountExactly) {
   }
 
   // Stalled subscribers with tiny buffers really did shed (the test would
-  // vacuously pass if nothing ever dropped).
+  // vacuously pass if nothing ever dropped) — every one of them.
   uint64_t total_dropped = 0;
-  for (const auto& client : clients) {
-    total_dropped += client->total_dropped();
+  for (size_t i = 0; i < kClients; ++i) {
+    total_dropped += clients[i]->total_dropped();
+    if (plans[i].stalled) {
+      EXPECT_GT(clients[i]->total_dropped(), 0u) << "stalled client " << i;
+    }
   }
   EXPECT_GT(total_dropped, 0u);
 

@@ -45,9 +45,9 @@
 
 #include "src/common/status.h"
 #include "src/common/time_util.h"
-#include "src/loadgen/harness.h"
 #include "src/loadgen/load_generator.h"
 #include "src/net/net_util.h"
+#include "src/node/live_node.h"
 
 namespace ts {
 namespace {
@@ -100,7 +100,7 @@ void PrintReport(const LoadGenReport& report) {
   std::fflush(stdout);
 }
 
-void PrintAccounting(const ConsumerHarness::Accounting& a) {
+void PrintAccounting(const LiveNode::Accounting& a) {
   std::printf("accounting received=%" PRIu64 " parsed=%" PRIu64
               " failures=%" PRIu64 " blanks=%" PRIu64 " emitted=%" PRIu64
               " open=%" PRIu64 " shed_records=%" PRIu64
@@ -108,6 +108,19 @@ void PrintAccounting(const ConsumerHarness::Accounting& a) {
               a.received, a.parsed, a.parse_failures, a.blank_lines,
               a.records_emitted, a.open_records, a.shed_records,
               a.shed_fragments, a.shed_lines);
+}
+
+// The consumer side of the self-check: the shipped live node, fed by the
+// generator over loopback TCP. Per-poll batches stay small so a slow
+// pipeline backpressures the socket.
+LiveNodeOptions ConsumerOptions(uint16_t upstream_port,
+                                EventTime inactivity_ns) {
+  LiveNodeOptions options;
+  options.ingest.emplace();
+  options.ingest->port = upstream_port;
+  options.ingest->max_records_per_poll = 4096;
+  options.pipeline.inactivity_ns = inactivity_ns;
+  return options;
 }
 
 // In-process self-check: generator + full consumer stack over loopback TCP.
@@ -127,24 +140,27 @@ int RunQuickSelfCheck() {
 
   {
     std::printf("-- phase 1: measurement path (no shedding) --\n");
-    HarnessOptions hopts;
-    hopts.workers = 2;
-    hopts.inactivity_ns = 300 * kNanosPerMilli;
-    ConsumerHarness harness(hopts);
-
     LoadGenOptions lopts;
     lopts.rate_per_s = 8000;
     lopts.duration_s = 2.0;
-    lopts.inactivity_ns = hopts.inactivity_ns;
+    lopts.inactivity_ns = 300 * kNanosPerMilli;
     lopts.synth.concurrent_sessions = 64;
     lopts.synth.records_per_session = 10;
     LoadGenerator gen(lopts);
     TS_CHECK(gen.Listen());
-    TS_CHECK(harness.Start(gen.port()));
-    gen.SetSubscriber("127.0.0.1", harness.query_port());
+
+    LiveNodeOptions nopts = ConsumerOptions(gen.port(), lopts.inactivity_ns);
+    nopts.pipeline.workers = 2;
+    LiveNode node(std::move(nopts), nullptr, /*log=*/nullptr);
+    TS_CHECK(node.Start());
+    std::thread consumer([&node] {
+      node.Run();
+      node.Shutdown();
+    });
+    gen.SetSubscriber("127.0.0.1", node.query_port());
     const LoadGenReport report = gen.Run();
-    harness.Join();
-    const auto acct = harness.GetAccounting();
+    consumer.join();
+    const auto acct = node.accounting();
     PrintReport(report);
     PrintAccounting(acct);
     check(report.ok, "transport clean");
@@ -161,48 +177,50 @@ int RunQuickSelfCheck() {
     check(acct.shed_records == 0 && acct.shed_lines == 0,
           "nothing shed with policy off");
     check(acct.Reconciles(), "records_in == stored + shed reconciles");
-    harness.Stop();
   }
 
   {
     std::printf("-- phase 2: overload with --shed-policy=oldest-open --\n");
-    HarnessOptions hopts;
-    hopts.workers = 1;
-    hopts.inactivity_ns = 500 * kNanosPerMilli;
-    hopts.queue_capacity = 2;
-    hopts.max_records_per_poll = 512;
-    hopts.shed_policy = ShedPolicy::kOldestOpen;
-    hopts.shed_open_bytes = 256 << 10;
-    hopts.shed_stall_limit_ms = 5;
-    ConsumerHarness harness(hopts);
-
     LoadGenOptions lopts;
     lopts.rate_per_s = 600'000;  // Far past a 1-worker tiny-queue pipeline.
     lopts.duration_s = 1.5;
-    lopts.inactivity_ns = hopts.inactivity_ns;
+    lopts.inactivity_ns = 500 * kNanosPerMilli;
     lopts.synth.seed = 7;
     lopts.synth.concurrent_sessions = 512;
     lopts.synth.records_per_session = 40;
     LoadGenerator gen(lopts);
     TS_CHECK(gen.Listen());
-    TS_CHECK(harness.Start(gen.port()));
-    gen.SetSubscriber("127.0.0.1", harness.query_port());
+
+    LiveNodeOptions nopts = ConsumerOptions(gen.port(), lopts.inactivity_ns);
+    nopts.ingest->max_records_per_poll = 512;
+    nopts.pipeline.workers = 1;
+    nopts.pipeline.queue_capacity = 2;
+    nopts.pipeline.shed_policy = ShedPolicy::kOldestOpen;
+    nopts.pipeline.shed_open_bytes = 256 << 10;
+    nopts.pipeline.shed_stall_limit_ms = 5;
+    LiveNode node(std::move(nopts), nullptr, /*log=*/nullptr);
+    TS_CHECK(node.Start());
+    std::thread consumer([&node] {
+      node.Run();
+      node.Shutdown();
+    });
+    gen.SetSubscriber("127.0.0.1", node.query_port());
     const int64_t start = std::chrono::duration_cast<std::chrono::nanoseconds>(
                               std::chrono::steady_clock::now().time_since_epoch())
                               .count();
     const LoadGenReport report = gen.Run();
-    harness.Join();
+    consumer.join();
     const int64_t elapsed_ns =
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count() -
         start;
-    const auto acct = harness.GetAccounting();
+    const auto acct = node.accounting();
     PrintReport(report);
     PrintAccounting(acct);
     std::printf("stall_us=%lld elapsed=%.1fs\n",
                 static_cast<long long>(
-                    harness.pipeline()->backpressure_stall_ns() / 1000),
+                    node.pipeline()->backpressure_stall_ns() / 1000),
                 elapsed_ns / 1e9);
     check(report.ok, "transport clean under overload");
     check(acct.Reconciles(),
@@ -211,8 +229,7 @@ int RunQuickSelfCheck() {
     // finish in a small multiple of the nominal duration, not hang on a
     // stalled pipeline. Generous bound — CI machines share cores.
     check(elapsed_ns < 30 * kNanosPerSecond, "producer stall bounded");
-    check(harness.pipeline()->ingest_watermark() > 0, "watermark advanced");
-    harness.Stop();
+    check(node.pipeline()->ingest_watermark() > 0, "watermark advanced");
   }
 
   std::printf("self-check: %s\n", failures == 0 ? "PASS" : "FAIL");

@@ -72,49 +72,33 @@
 //                     unmodified pipeline. fault_disk_* gauges appear in
 //                     STATS. See docs/FAULT_TESTING.md.
 #include <csignal>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "src/analytics/dependency_graph.h"
-#include "src/analytics/session_store.h"
-#include "src/ckpt/async_checkpointer.h"
-#include "src/ckpt/checkpointer.h"
-#include "src/ckpt/live_checkpoint.h"
 #include "src/ckpt/snapshot_io.h"
-#include "src/common/metrics_registry.h"
 #include "src/fault/fault_plan.h"
 #include "src/fault/fs_fault.h"
 #include "src/fault/scripted_disk_injector.h"
-#include "src/core/live_pipeline.h"
 #include "src/core/trace_tree.h"
 #include "src/log/wire_format.h"
 #include "src/net/net_util.h"
-#include "src/net/socket_ingest.h"
+#include "src/node/live_node.h"
 #include "src/offline/offline_sessionizer.h"
-#include "src/query/query_server.h"
-#include "src/store/cold_tier.h"
 
 namespace {
-
-double Flag(int argc, char** argv, const char* name, double fallback) {
-  const std::string prefix = std::string(name) + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::stod(argv[i] + prefix.size());
-    }
-  }
-  return fallback;
-}
 
 const char* FlagStr(int argc, char** argv, const char* name) {
   const std::string prefix = std::string(name) + "=";
@@ -134,6 +118,33 @@ bool HasFlag(int argc, char** argv, const char* name) {
   }
   return false;
 }
+
+// Reads a numeric flag. Every numeric flag is a size, count or duration, so
+// a malformed, negative or non-finite value is rejected with exit code 2
+// rather than aborting on an exception or wrapping around in a size_t cast.
+double Flag(int argc, char** argv, const char* name, double fallback) {
+  const char* text = FlagStr(argc, argv, name);
+  if (text == nullptr) {
+    return fallback;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(value) || value < 0) {
+    std::fprintf(stderr, "bad %s=%s (want a non-negative number)\n", name,
+                 text);
+    std::exit(2);
+  }
+  return value;
+}
+
+// Bound on the records one poll may deliver, so a stalled shard queue
+// back-pressures the server via TCP instead of ballooning a block.
+constexpr size_t kMaxRecordsPerPoll = 16 << 10;
+// The live path's inactivity window when --inactivity_s is 0: a watermark
+// close needs a window.
+constexpr ts::EventTime kDefaultLiveInactivityNs = 5 * ts::kNanosPerSecond;
 
 volatile std::sig_atomic_t g_stop = 0;
 void OnSignal(int) { g_stop = 1; }
@@ -222,9 +233,76 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
 
-  // Declared before every durability object so it is destroyed last: the
-  // process-global hook may be consulted until the cold tier's spill thread
-  // and the checkpoint writer have joined.
+  // Every numeric flag is read before anything starts, so a malformed or
+  // negative value exits 2 with nothing to unwind.
+  const EventTime inactivity_ns = static_cast<EventTime>(
+      Flag(argc, argv, "--inactivity_s", 0) * kNanosPerSecond);
+  const size_t top = static_cast<size_t>(Flag(argc, argv, "--top", 10));
+  const char* serve_spec = FlagStr(argc, argv, "--serve");
+  const char* connect_spec = FlagStr(argc, argv, "--connect");
+  const char* cold_dir = FlagStr(argc, argv, "--cold-dir");
+  const char* ckpt_dir = FlagStr(argc, argv, "--checkpoint-dir");
+  const bool mine_templates = HasFlag(argc, argv, "--mine-templates");
+
+  LiveNodeOptions node_options;
+  node_options.store.max_bytes =
+      static_cast<size_t>(Flag(argc, argv, "--store_mb", 256)) << 20;
+  ColdTierOptions cold_options;
+  cold_options.segment_target_bytes =
+      static_cast<size_t>(Flag(argc, argv, "--cold_segment_mb", 4)) << 20;
+  CheckpointerOptions ckpt_options;
+  ckpt_options.retain =
+      static_cast<size_t>(Flag(argc, argv, "--ckpt_retain", 3));
+  ckpt_options.interval_ms = static_cast<int64_t>(
+      Flag(argc, argv, "--ckpt_interval_s", 2.0) * 1000);
+  SocketIngestOptions ingest;
+  ingest.stream = static_cast<size_t>(Flag(argc, argv, "--stream", 0));
+  ingest.num_streams = static_cast<size_t>(Flag(argc, argv, "--streams", 1));
+  ingest.max_records_per_poll = kMaxRecordsPerPoll;
+  // Live path: parse + sessionize sharded across --workers threads,
+  // hash-partitioned by session id; sessions close incrementally as the
+  // watermark advances.
+  LivePipelineOptions& pipe_options = node_options.pipeline;
+  const unsigned hw = std::thread::hardware_concurrency();
+  pipe_options.workers =
+      static_cast<size_t>(Flag(argc, argv, "--workers", hw > 0 ? hw : 1));
+  pipe_options.inactivity_ns =
+      inactivity_ns > 0 ? inactivity_ns : kDefaultLiveInactivityNs;
+  pipe_options.mine_templates = mine_templates;
+  if (const char* policy = FlagStr(argc, argv, "--shed-policy")) {
+    if (std::string_view(policy) == "oldest-open") {
+      pipe_options.shed_policy = ShedPolicy::kOldestOpen;
+      pipe_options.shed_open_bytes =
+          static_cast<size_t>(Flag(argc, argv, "--shed_open_mb", 32)) << 20;
+      pipe_options.shed_stall_limit_ms =
+          static_cast<int64_t>(Flag(argc, argv, "--shed_stall_ms", 100));
+    } else if (std::string_view(policy) != "none") {
+      std::fprintf(stderr, "unknown --shed-policy=%s (none|oldest-open)\n",
+                   policy);
+      return 2;
+    }
+  }
+  if (connect_spec != nullptr &&
+      !ParseHostPort(connect_spec, &ingest.host, &ingest.port)) {
+    std::fprintf(stderr, "bad --connect spec %s (want host:port)\n",
+                 connect_spec);
+    return 1;
+  }
+  if (serve_spec != nullptr) {
+    QueryServerOptions& query = node_options.query;
+    if (std::strchr(serve_spec, ':') != nullptr) {
+      if (!ParseHostPort(serve_spec, &query.host, &query.port)) {
+        std::fprintf(stderr, "bad --serve spec %s\n", serve_spec);
+        return 1;
+      }
+    } else {
+      query.port = static_cast<uint16_t>(std::atoi(serve_spec));
+    }
+  }
+
+  // Declared before the node so it is destroyed last: the process-global
+  // hook may be consulted until the cold tier's spill thread and the
+  // checkpoint writer have joined.
   std::unique_ptr<ScriptedDiskInjector> disk_faults;
   {
     const char* plan_path = FlagStr(argc, argv, "--disk-fault-plan");
@@ -251,381 +329,87 @@ int main(int argc, char** argv) {
                    plan_path, n_events);
     }
   }
-
-  // --serve: stand up the store and the query server before ingesting, so
-  // subscribers attached early see every session close.
-  const char* serve_spec = FlagStr(argc, argv, "--serve");
-  const bool mine_templates = HasFlag(argc, argv, "--mine-templates");
-  // Published once the live pipeline exists; the TEMPLATES source lambda runs
-  // on the query-server thread, so the hand-off must be atomic.
-  std::atomic<LivePipeline*> mining_pipeline{nullptr};
-  std::shared_ptr<SessionStore> store;
-  std::shared_ptr<ColdTier> cold;
-  std::shared_ptr<MetricsRegistry> metrics;
-  std::unique_ptr<QueryServer> server;
-  std::thread server_thread;
-  const char* cold_dir = FlagStr(argc, argv, "--cold-dir");
   if (cold_dir != nullptr && serve_spec == nullptr) {
     std::fprintf(stderr, "--cold-dir needs --serve; ignoring\n");
-    cold_dir = nullptr;
   }
   if (mine_templates && serve_spec == nullptr) {
     std::fprintf(stderr, "--mine-templates needs --connect --serve; ignoring\n");
   }
-  if (serve_spec != nullptr) {
-    SessionStore::Options store_options;
-    store_options.max_bytes =
-        static_cast<size_t>(Flag(argc, argv, "--store_mb", 256)) << 20;
-    store = std::make_shared<SessionStore>(store_options);
-    metrics = std::make_shared<MetricsRegistry>();
-    if (disk_faults != nullptr) {
-      disk_faults->RegisterMetrics(metrics.get());
-    }
-    QueryServerOptions server_options;
-    if (std::strchr(serve_spec, ':') != nullptr) {
-      if (!ParseHostPort(serve_spec, &server_options.host,
-                         &server_options.port)) {
-        std::fprintf(stderr, "bad --serve spec %s\n", serve_spec);
-        return 1;
-      }
-    } else {
-      server_options.port = static_cast<uint16_t>(std::atoi(serve_spec));
-    }
-    server = std::make_unique<QueryServer>(server_options, store, metrics);
-    if (cold_dir != nullptr) {
-      ColdTierOptions cold_options;
-      cold_options.dir = cold_dir;
-      cold_options.segment_target_bytes =
-          static_cast<size_t>(Flag(argc, argv, "--cold_segment_mb", 4)) << 20;
-      cold = std::make_shared<ColdTier>(cold_options);
-      if (!cold->Start()) {
-        std::fprintf(stderr, "cannot use cold dir %s\n", cold_dir);
-        return 1;
-      }
-      store->SetEvictionSink(
-          [cold](Session&& s) { cold->Append(std::move(s)); },
-          [cold] { cold->WaitForSpace(); });
-      server->SetColdTier(cold);
-      const auto cold_stats = cold->stats();
-      std::fprintf(stderr,
-                   "cold tier: %s (%llu segment(s), %llu session(s) "
-                   "re-discovered)\n",
-                   cold_dir,
-                   static_cast<unsigned long long>(cold_stats.segments),
-                   static_cast<unsigned long long>(cold_stats.sessions));
-    }
-    if (mine_templates) {
-      // Installed before Start(); returns the mined dictionary ranked later
-      // by the server. ppm = hits per million mined payloads (every payload
-      // hits exactly one template, so the snapshot's hits sum to the total).
-      server->SetTemplateSource([&mining_pipeline] {
-        std::vector<TemplateCount> out;
-        LivePipeline* pipe = mining_pipeline.load(std::memory_order_acquire);
-        if (pipe == nullptr) {
-          return out;
-        }
-        const auto snapshot = pipe->TemplateSnapshot();
-        uint64_t total = 0;
-        for (const auto& info : snapshot) {
-          total += info.hits;
-        }
-        out.reserve(snapshot.size());
-        for (const auto& info : snapshot) {
-          out.push_back({info.id, info.hits,
-                         total > 0 ? info.hits * 1'000'000 / total : 0,
-                         info.text});
-        }
-        return out;
-      });
-    }
-    if (!server->Start()) {
-      std::fprintf(stderr, "cannot serve on %s\n", serve_spec);
-      return 1;
-    }
-    std::fprintf(stderr, "query server listening on %s:%u\n",
-                 server_options.host.c_str(), server->port());
-    server_thread = std::thread([&server] { server->Run(); });
+  if (ckpt_dir != nullptr && connect_spec != nullptr && serve_spec == nullptr) {
+    std::fprintf(stderr,
+                 "--checkpoint-dir needs --serve (live path); ignoring\n");
   }
 
-  const EventTime inactivity_ns = static_cast<EventTime>(
-      Flag(argc, argv, "--inactivity_s", 0) * kNanosPerSecond);
-  const size_t top = static_cast<size_t>(Flag(argc, argv, "--top", 10));
+  // Outlives the node: shard workers report closed sessions into it.
   ReportAccumulator report(HasFlag(argc, argv, "--trees"));
+  // --serve: the node stands up the store and the query server (and, with
+  // --connect, restores the checkpoint) before ingesting.
+  std::unique_ptr<LiveNode> node;
+  if (serve_spec != nullptr) {
+    if (cold_dir != nullptr) {
+      cold_options.dir = cold_dir;
+      node_options.cold = cold_options;
+    }
+    if (connect_spec != nullptr) {
+      node_options.ingest = ingest;
+      if (ckpt_dir != nullptr) {
+        ckpt_options.dir = ckpt_dir;
+        node_options.checkpoint = ckpt_options;
+      }
+    }
+    node = std::make_unique<LiveNode>(
+        std::move(node_options), [&report](const Session& s) { report.Add(s); });
+    if (disk_faults != nullptr) {
+      disk_faults->RegisterMetrics(node->metrics());
+    }
+    if (!node->Start()) {
+      return 1;
+    }
+  }
 
   std::vector<LogRecord> records;
   size_t record_count = 0;
   uint64_t parse_failures = 0;
-  bool transport_failed = false;
-  bool sessions_ready = false;  // Live path feeds `report` itself.
-  // Outlive the ingest loop: the query server samples their gauges until
-  // exit. Declaration order is destruction order in reverse — async_ckpt
-  // (whose writer thread uses both) must die before ckpt and pipeline.
-  std::unique_ptr<LivePipeline> pipeline;
-  std::unique_ptr<Checkpointer> ckpt;
-  std::unique_ptr<AsyncCheckpointer> async_ckpt;
-
-  if (const char* spec = FlagStr(argc, argv, "--connect")) {
-    SocketIngestOptions options;
-    if (!ParseHostPort(spec, &options.host, &options.port)) {
-      std::fprintf(stderr, "bad --connect spec %s (want host:port)\n", spec);
-      return 1;
+  bool sessions_ready = false;  // The live path feeds `report` itself.
+  auto parse_line = [&](std::string_view line) {
+    if (line.empty()) {
+      return;  // Blank lines are framing artifacts, not parse failures.
     }
-    options.stream = static_cast<size_t>(Flag(argc, argv, "--stream", 0));
-    options.num_streams = static_cast<size_t>(Flag(argc, argv, "--streams", 1));
-    // Bound the batch one poll may deliver so a stalled shard queue
-    // back-pressures the server via TCP instead of ballooning `lines`.
-    options.max_records_per_poll = 16 << 10;
-
-    // --checkpoint-dir: restore the newest valid snapshot before connecting
-    // so the hello's "TS1 <stream> <offset>" resumes exactly where the
-    // snapshot left off.
-    CheckpointState restored;
-    bool did_restore = false;
-    uint64_t base_records = 0;
-    uint64_t base_parse_failures = 0;
-    if (const char* dir = FlagStr(argc, argv, "--checkpoint-dir")) {
-      if (server == nullptr) {
-        std::fprintf(stderr,
-                     "--checkpoint-dir needs --serve (live path); ignoring\n");
-      } else {
-        CheckpointerOptions ckpt_options;
-        ckpt_options.dir = dir;
-        ckpt_options.retain =
-            static_cast<size_t>(Flag(argc, argv, "--ckpt_retain", 3));
-        ckpt_options.interval_ms = static_cast<int64_t>(
-            Flag(argc, argv, "--ckpt_interval_s", 2.0) * 1000);
-        ckpt = std::make_unique<Checkpointer>(ckpt_options);
-        RestoreResult rr = ckpt->RestoreLatest(&restored);
-        if (rr.restored &&
-            restored.stream != static_cast<uint64_t>(options.stream)) {
-          std::fprintf(stderr,
-                       "checkpoint %s is for stream %llu, not %zu; "
-                       "starting cold\n",
-                       rr.path.c_str(),
-                       static_cast<unsigned long long>(restored.stream),
-                       options.stream);
-          restored = CheckpointState{};
-          rr.restored = false;
-        }
-        if (rr.restored) {
-          did_restore = true;
-          base_records = restored.records;
-          base_parse_failures = restored.parse_failures;
-          options.resume_offset = restored.resume_offset;
-          std::fprintf(
-              stderr,
-              "restored %s: resume offset %llu, %zu open fragment(s), "
-              "%zu stored session(s)%s\n",
-              rr.path.c_str(),
-              static_cast<unsigned long long>(restored.resume_offset),
-              restored.closers.open.size(), restored.store_sessions.size(),
-              rr.fallbacks > 0 ? " (damaged snapshot(s) skipped)" : "");
-        } else if (rr.fallbacks > 0) {
-          std::fprintf(stderr,
-                       "no valid checkpoint in %s (%llu damaged); "
-                       "starting cold\n",
-                       dir, static_cast<unsigned long long>(rr.fallbacks));
-        }
-        ckpt->RegisterMetrics(metrics.get());
-      }
-    }
-
-    SocketIngestSource source(options);
-    if (server != nullptr) {
-      // Live path: parse + sessionize sharded across --workers threads,
-      // hash-partitioned by session id; sessions close incrementally as the
-      // watermark advances and are inserted into the store the moment they
-      // close. Inactivity defaults to 5s here — a watermark close needs a
-      // window.
-      const unsigned hw = std::thread::hardware_concurrency();
-      LivePipelineOptions pipe_options;
-      pipe_options.workers = static_cast<size_t>(
-          Flag(argc, argv, "--workers", hw > 0 ? hw : 1));
-      pipe_options.inactivity_ns =
-          inactivity_ns > 0 ? inactivity_ns : 5 * kNanosPerSecond;
-      pipe_options.mine_templates = mine_templates;
-      if (const char* policy = FlagStr(argc, argv, "--shed-policy")) {
-        if (std::string_view(policy) == "oldest-open") {
-          pipe_options.shed_policy = ShedPolicy::kOldestOpen;
-          pipe_options.shed_open_bytes = static_cast<size_t>(
-              Flag(argc, argv, "--shed_open_mb", 32)) << 20;
-          pipe_options.shed_stall_limit_ms = static_cast<int64_t>(
-              Flag(argc, argv, "--shed_stall_ms", 100));
-          std::fprintf(stderr,
-                       "load shedding: oldest-open (open budget %zu MiB/shard,"
-                       " stall limit %lld ms) — output is no longer"
-                       " byte-identical across runs under overload\n",
-                       pipe_options.shed_open_bytes >> 20,
-                       static_cast<long long>(pipe_options.shed_stall_limit_ms));
-        } else if (std::string_view(policy) != "none") {
-          std::fprintf(stderr, "unknown --shed-policy=%s (none|oldest-open)\n",
-                       policy);
-          return 2;
-        }
-      }
-      const bool dedupe_replay = ckpt != nullptr;
-      pipeline = std::make_unique<LivePipeline>(
-          pipe_options, [&, dedupe_replay](Session&& s) {
-            if (dedupe_replay &&
-                (store->Contains(s.id, s.fragment_index) ||
-                 (cold != nullptr && cold->Contains(s.id, s.fragment_index)))) {
-              // Replay-window dedupe guard: with an exact resume offset this
-              // never fires, but it keeps a stale offset from double-counting.
-              // The cold check covers sessions the pre-crash run had already
-              // evicted and spilled.
-              return;
-            }
-            report.Add(s);
-            store->Insert(std::move(s));
-          });
-      if (did_restore) {
-        // Must precede the first FeedLine/Flush: the restore publishes open
-        // fragments and the snapshot watermark into the shard closers.
-        RestoreLiveCheckpoint(std::move(restored), pipeline.get(),
-                              store.get());
-        store->ForEachSession([&report](const Session& s) { report.Add(s); });
-      }
-      mining_pipeline.store(pipeline.get(), std::memory_order_release);
-      pipeline->RegisterMetrics(metrics.get());
-      // Legacy gauge names, kept stable for operators and the e2e smoke.
-      // With a restored checkpoint they continue from the snapshot's counters
-      // so totals match a crash-free run.
-      LivePipeline* pipe = pipeline.get();
-      metrics->Register("ingest_records", [pipe, base_records] {
-        return static_cast<int64_t>(base_records + pipe->records());
-      });
-      metrics->Register("ingest_parse_failures", [pipe, base_parse_failures] {
-        return static_cast<int64_t>(base_parse_failures +
-                                    pipe->parse_failures());
-      });
-      metrics->Register("sessionize_open_sessions", [pipe] {
-        return static_cast<int64_t>(pipe->open_sessions());
-      });
-      metrics->Register("sessionize_watermark_ms", [pipe] {
-        return static_cast<int64_t>(pipe->watermark() / kNanosPerMilli);
-      });
-      std::fprintf(stderr, "live pipeline: %zu shard worker(s)\n",
-                   pipeline->workers());
-      // Periodic snapshots ride the async two-phase barrier: the poll loop
-      // pays one BeginCheckpoint per due tick, and all O(live state)
-      // serialization + fsync runs on the writer thread while ingest keeps
-      // feeding behind the barrier marker.
-      if (ckpt != nullptr) {
-        AsyncCheckpointer::Options ac_options;
-        ac_options.stream = static_cast<uint64_t>(options.stream);
-        ac_options.base_records = base_records;
-        ac_options.base_parse_failures = base_parse_failures;
-        if (cold != nullptr) {
-          // Durability barrier: every eviction that precedes this snapshot's
-          // barrier must be in a cold segment before the snapshot exists, or
-          // a restore could lose it (the replay window starts at the
-          // snapshot's offset).
-          ColdTier* cold_ptr = cold.get();
-          ac_options.before_write = [cold_ptr] {
-            return cold_ptr->FlushPending();
-          };
-        }
-        async_ckpt = std::make_unique<AsyncCheckpointer>(
-            ckpt.get(), pipeline.get(), store.get(), ac_options);
-        async_ckpt->RegisterMetrics(metrics.get());
-      }
-      // Zero-copy live loop: recv bytes land in the source's arena, PollBlock
-      // hands them over as views, and FeedBlock routes them shard-ward with
-      // no per-line copies (docs/INGEST.md).
-      LineBlock block;
-      bool done = false;
-      while (!done && g_stop == 0) {
-        const auto poll = source.PollBlock(&block, /*timeout_ms=*/200);
-        pipeline->FeedBlock(std::move(block));
-        if (poll == SocketIngestSource::Poll::kEndOfStream) {
-          done = true;
-        } else if (poll == SocketIngestSource::Poll::kFailed) {
-          transport_failed = true;
-          done = true;
-        } else {
-          pipeline->Flush();
-          if (async_ckpt != nullptr) {
-            async_ckpt->MaybeCheckpoint(source.records_received());
-          }
-        }
-      }
-      // Drain the writer before any synchronous capture or Finish(): at most
-      // one barrier may be in flight, and an uncollected ticket would leave
-      // the shard workers paused forever. The object stays alive (idle) so
-      // the degraded-mode gauges it registered keep sampling until exit.
-      if (async_ckpt != nullptr) {
-        async_ckpt->Drain();
-      }
-      if (ckpt != nullptr && !transport_failed) {
-        // Final checkpoint before Finish(): Finish force-closes every open
-        // fragment for the report, and those early closes must not leak into
-        // the snapshot — a restart continues them as open fragments instead.
-        pipeline->Flush();
-        CheckpointState state = CaptureLiveCheckpoint(
-            pipeline.get(), *store, source.records_received(),
-            static_cast<uint64_t>(options.stream));
-        state.records += base_records;
-        state.parse_failures += base_parse_failures;
-        if (cold != nullptr) {
-          // Same barrier as the periodic snapshots — but the final one wants
-          // eventual durability, not the prompt-abort contract: FlushPending
-          // returns false on the FIRST spill write failure so a periodic
-          // snapshot can be dropped, while the spill thread keeps retrying
-          // behind it. Ride those retries out (bounded: each false return is
-          // at least one consumed fault / shed batch, so a finite fault
-          // window always drains).
-          for (int i = 0; i < 100 && !cold->FlushPending(); ++i) {
-          }
-        }
-        // The disk may still be inside a fault window at end of stream (the
-        // periodic writer only ticks while records flow, so nothing after the
-        // last record has proven it healthy). Retry with backoff rather than
-        // silently leaving the directory empty.
-        bool final_ok = ckpt->Write(state);
-        for (int attempt = 0; !final_ok && attempt < 5; ++attempt) {
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(int64_t{100} << attempt));
-          final_ok = ckpt->Write(state);
-        }
-        if (final_ok) {
-          std::fprintf(stderr, "final checkpoint at offset %llu (%s)\n",
-                       static_cast<unsigned long long>(state.resume_offset),
-                       ckpt->dir().c_str());
-        } else {
-          std::fprintf(stderr, "final checkpoint FAILED (%s unwritable)\n",
-                       ckpt->dir().c_str());
-        }
-      }
-      pipeline->Finish();
-      record_count = base_records + pipeline->records();
-      parse_failures = base_parse_failures + pipeline->parse_failures();
-      sessions_ready = true;
+    auto parsed = ParseWireFormat(line);
+    if (parsed) {
+      records.push_back(std::move(*parsed));
     } else {
-      std::vector<std::string> lines;
-      const bool graceful = source.ReadAll(&lines);
-      for (const auto& l : lines) {
-        if (l.empty()) {
-          continue;  // Blank lines are framing artifacts, not parse failures.
-        }
-        auto parsed = ParseWireFormat(l);
-        if (parsed) {
-          records.push_back(std::move(*parsed));
-        } else {
-          ++parse_failures;
-        }
-      }
-      transport_failed = !graceful;
+      ++parse_failures;
     }
-    std::fprintf(stderr, "transport: %s\n",
-                 source.stats().Snapshot().Format().c_str());
-    if (transport_failed) {
+  };
+
+  if (connect_spec != nullptr) {
+    std::unique_ptr<SocketIngestSource> source;  // Without --serve only.
+    bool graceful = true;
+    if (node != nullptr) {
+      node->Run([] { return g_stop != 0; });
+      node->Shutdown();
+      record_count = node->ingest_records();
+      parse_failures = node->ingest_parse_failures();
+      sessions_ready = true;
+      graceful = !node->transport_failed();
+    } else {
+      source = std::make_unique<SocketIngestSource>(ingest);
+      std::vector<std::string> lines;
+      graceful = source->ReadAll(&lines);
+      for (const auto& l : lines) {
+        parse_line(l);
+      }
+    }
+    const TransportStats& stats =
+        node != nullptr ? node->transport_stats() : source->stats();
+    std::fprintf(stderr, "transport: %s\n", stats.Snapshot().Format().c_str());
+    if (!graceful) {
       std::fprintf(stderr,
                    "transport failed before end of stream (%llu records in)\n",
-                   static_cast<unsigned long long>(source.records_received()));
-      if (server != nullptr) {
-        server->Stop();
-        server_thread.join();
-      }
+                   static_cast<unsigned long long>(
+                       node != nullptr ? node->records_received()
+                                       : source->records_received()));
       return 1;
     }
   } else {
@@ -644,15 +428,7 @@ int main(int argc, char** argv) {
       while (len > 0 && (line[len - 1] == '\n' || line[len - 1] == '\r')) {
         --len;
       }
-      if (len == 0) {
-        continue;  // Blank lines skipped, same as the socket paths.
-      }
-      auto parsed = ParseWireFormat(std::string_view(line, static_cast<size_t>(len)));
-      if (parsed) {
-        records.push_back(std::move(*parsed));
-      } else {
-        ++parse_failures;
-      }
+      parse_line(std::string_view(line, static_cast<size_t>(len)));
     }
     free(line);
     if (in != stdin) {
@@ -667,23 +443,21 @@ int main(int argc, char** argv) {
     auto sessions = OfflineSessionizer::Sessionize(std::move(records), options);
     for (auto& s : sessions) {
       report.Add(s);
-      if (store != nullptr) {
-        store->Insert(std::move(s));
+      if (node != nullptr) {
+        node->store()->Insert(std::move(s));
       }
     }
   }
 
   report.Print(record_count, parse_failures, top);
 
-  if (server != nullptr) {
+  if (node != nullptr) {
     std::fflush(stdout);
     std::fprintf(stderr, "serving %zu sessions on port %u (SIGINT to exit)\n",
-                 store->stats().sessions, server->port());
+                 node->store()->stats().sessions, node->query_port());
     while (g_stop == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
-    server->Stop();
-    server_thread.join();
   }
   return 0;
 }

@@ -1,6 +1,6 @@
 // Engine micro-benchmarks (google-benchmark): the per-record costs that
 // compose into TS's epoch latency — hashing, wire parsing, re-ordering, tree
-// construction, signatures, and exchange-hub transfers.
+// construction, signatures, exchange-hub transfers, and live-path expiry.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -8,6 +8,7 @@
 
 #include "src/common/rng.h"
 #include "src/common/siphash.h"
+#include "src/core/live_closer.h"
 #include "src/core/reorder_buffer.h"
 #include "src/core/trace_tree.h"
 #include "src/log/wire_format.h"
@@ -108,6 +109,60 @@ void BM_ReorderBufferPush(benchmark::State& state) {
                           static_cast<int64_t>(shuffled.size()));
 }
 BENCHMARK(BM_ReorderBufferPush);
+
+// LiveCloser::CloseExpired per 128-record batch over range(0) session ids
+// (range(0) - 128 fragments open in the steady state). Record k goes to
+// session k % range(0) at time k µs and the window is one batch short of a
+// full cycle, so each batch's CloseExpired emits the 128 fragments whose next
+// record is one batch away: the work is constant and only the open count
+// varies. An O(expired) expiry stays flat across the
+// three sizes; a scan of the open map grows with them.
+void BM_LiveCloserExpiry(benchmark::State& state) {
+  constexpr size_t kBatch = 128;
+  constexpr EventTime kStep = 1000;
+  const size_t open = static_cast<size_t>(state.range(0));
+  std::vector<std::string> ids(open);
+  for (size_t i = 0; i < open; ++i) {
+    ids[i] = "S" + std::to_string(i);
+  }
+  LiveCloser closer(static_cast<EventTime>(open - kBatch) * kStep);
+  std::vector<Session> closed;
+  LogRecord record;
+  record.txn_id = *TxnId::Parse("1");
+  record.kind = EventKind::kAnnotation;
+  record.payload = "p";
+  uint64_t k = 0;
+  const auto feed_batch = [&] {
+    for (size_t i = 0; i < kBatch; ++i, ++k) {
+      record.session_id = ids[k % open];
+      record.time = static_cast<EventTime>(k) * kStep;
+      closer.Feed(record, &closed);
+    }
+  };
+  while (k < 2 * open) {  // Warm up into the steady state.
+    feed_batch();
+    closer.CloseExpired(&closed);
+    closed.clear();
+  }
+  uint64_t emitted = 0;
+  const uint64_t visited_before = closer.expiry_visited();
+  for (auto _ : state) {
+    state.PauseTiming();
+    emitted += closed.size();
+    closed.clear();
+    feed_batch();
+    state.ResumeTiming();
+    closer.CloseExpired(&closed);
+    benchmark::DoNotOptimize(closed.data());
+  }
+  emitted += closed.size();
+  const double batches = static_cast<double>(state.iterations());
+  state.counters["open"] = static_cast<double>(closer.open_sessions());
+  state.counters["closed_per_batch"] = static_cast<double>(emitted) / batches;
+  state.counters["visited_per_batch"] =
+      static_cast<double>(closer.expiry_visited() - visited_before) / batches;
+}
+BENCHMARK(BM_LiveCloserExpiry)->Arg(1'000)->Arg(10'000)->Arg(100'000);
 
 void BM_TraceTreeBuild(benchmark::State& state) {
   const auto records = SampleRecords(20'000);

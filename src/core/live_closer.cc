@@ -14,31 +14,46 @@ void LiveCloser::Feed(LogRecord record, std::vector<Session>* closed) {
     // The open fragment expired before this record arrived: emit it and start
     // the next fragment. Doing this here, at record granularity, is what keeps
     // fragment boundaries independent of CloseExpired cadence and shard count.
-    Emit(it->first, std::move(open), closed);
-    open = Open{};
+    // The candidate stays: its key is <= the expired last_time, so it is
+    // already due, and the next CloseExpired re-arms it for the new fragment.
+    Emit(it->first, std::move(open.records), closed);
+    open.records.clear();
+    open.last_time = 0;
   }
   open.last_time = std::max(open.last_time, record.time);
+  // A record joining an open fragment only raises last_time, which keeps the
+  // candidate's key a lower bound: no heap work on that path.
+  if (inserted) {
+    Arm(&*it);
+  }
   open_bytes_ += record.MemoryFootprint();
   ++open_records_;
   open.records.push_back(std::move(record));
 }
 
 void LiveCloser::CloseExpired(std::vector<Session>* closed) {
-  for (auto it = open_.begin(); it != open_.end();) {
-    if (it->second.last_time + inactivity_ns_ <= watermark_) {
-      Emit(it->first, std::move(it->second), closed);
-      it = open_.erase(it);
+  while (!expiry_.empty() &&
+         expiry_.front().last_time + inactivity_ns_ <= watermark_) {
+    ++expiry_visited_;
+    OpenMap::value_type* fragment = expiry_.front().fragment;
+    Open& open = fragment->second;
+    if (open.last_time + inactivity_ns_ <= watermark_) {
+      Emit(fragment->first, std::move(open.records), closed);
+      Disarm(0);
+      open_.erase(open_.find(fragment->first));
     } else {
-      ++it;
+      // Renewed activity since the candidate was armed.
+      Rearm(0, open.last_time);
     }
   }
 }
 
 void LiveCloser::FlushAll(std::vector<Session>* closed) {
   for (auto& [id, open] : open_) {
-    Emit(id, std::move(open), closed);
+    Emit(id, std::move(open.records), closed);
   }
   open_.clear();
+  expiry_.clear();
 }
 
 void LiveCloser::ExportState(LiveCloserState* state) const {
@@ -68,7 +83,8 @@ void LiveCloser::ExportCounters(LiveCloserState* state) const {
 }
 
 void LiveCloser::ImportFragment(LiveCloserState::OpenFragment fragment) {
-  Open& open = open_[fragment.id];
+  auto [it, inserted] = open_.try_emplace(fragment.id);
+  Open& open = it->second;
   for (const auto& r : open.records) {
     const size_t bytes = r.MemoryFootprint();
     open_bytes_ = bytes >= open_bytes_ ? 0 : open_bytes_ - bytes;
@@ -80,6 +96,11 @@ void LiveCloser::ImportFragment(LiveCloserState::OpenFragment fragment) {
     open_bytes_ += r.MemoryFootprint();
   }
   open_records_ += open.records.size();
+  if (inserted) {
+    Arm(&*it);
+  } else {
+    Rearm(open.candidate, open.last_time);
+  }
 }
 
 size_t LiveCloser::ShedOldestUntil(size_t max_open_bytes) {
@@ -116,6 +137,7 @@ size_t LiveCloser::ShedOldestUntil(size_t max_open_bytes) {
     // this fragment had been emitted, so downstream per-id sequences stay
     // gap-free in shape even when the content was dropped.
     next_fragment_[*id]++;
+    Disarm(it->second.candidate);
     open_.erase(it);
     ++shed;
   }
@@ -126,7 +148,7 @@ void LiveCloser::SetNextFragment(const std::string& id, uint32_t next) {
   next_fragment_[id] = next;
 }
 
-void LiveCloser::Emit(const std::string& id, Open open,
+void LiveCloser::Emit(const std::string& id, std::vector<LogRecord> records,
                       std::vector<Session>* closed) {
   // Stable sort by event time: ties keep arrival order, matching the offline
   // sessionizer's record ordering on the same input. Most fragments arrive
@@ -135,13 +157,13 @@ void LiveCloser::Emit(const std::string& id, Open open,
   const auto time_lt = [](const LogRecord& a, const LogRecord& b) {
     return a.time < b.time;
   };
-  if (!std::is_sorted(open.records.begin(), open.records.end(), time_lt)) {
-    std::stable_sort(open.records.begin(), open.records.end(), time_lt);
+  if (!std::is_sorted(records.begin(), records.end(), time_lt)) {
+    std::stable_sort(records.begin(), records.end(), time_lt);
   }
   Session s;
   s.id = id;
   s.fragment_index = next_fragment_[id]++;
-  s.records = std::move(open.records);
+  s.records = std::move(records);
   s.first_epoch =
       static_cast<Epoch>(s.records.front().time / kNanosPerSecond);
   s.last_epoch =
@@ -156,6 +178,60 @@ void LiveCloser::Emit(const std::string& id, Open open,
   records_emitted_ += s.records.size();
   ++sessions_emitted_;
   closed->push_back(std::move(s));
+}
+
+void LiveCloser::Arm(OpenMap::value_type* fragment) {
+  expiry_.push_back({fragment->second.last_time, fragment});
+  fragment->second.candidate = expiry_.size() - 1;
+  Sift(expiry_.size() - 1);
+}
+
+void LiveCloser::Rearm(size_t pos, EventTime last_time) {
+  expiry_[pos].last_time = last_time;
+  Sift(pos);
+}
+
+void LiveCloser::Disarm(size_t pos) {
+  const Candidate last = expiry_.back();
+  expiry_.pop_back();
+  if (pos < expiry_.size()) {
+    Place(pos, last);
+    Sift(pos);
+  }
+}
+
+void LiveCloser::Place(size_t pos, const Candidate& candidate) {
+  expiry_[pos] = candidate;
+  candidate.fragment->second.candidate = pos;
+}
+
+// Sifts the candidate at `pos` up or down to where the heap order holds.
+void LiveCloser::Sift(size_t pos) {
+  const Candidate moving = expiry_[pos];
+  while (pos > 0) {
+    const size_t parent = (pos - 1) / 2;
+    if (expiry_[parent].last_time <= moving.last_time) {
+      break;
+    }
+    Place(pos, expiry_[parent]);
+    pos = parent;
+  }
+  while (true) {
+    size_t child = 2 * pos + 1;
+    if (child >= expiry_.size()) {
+      break;
+    }
+    if (child + 1 < expiry_.size() &&
+        expiry_[child + 1].last_time < expiry_[child].last_time) {
+      ++child;
+    }
+    if (expiry_[child].last_time >= moving.last_time) {
+      break;
+    }
+    Place(pos, expiry_[child]);
+    pos = child;
+  }
+  Place(pos, moving);
 }
 
 }  // namespace ts

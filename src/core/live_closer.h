@@ -13,6 +13,18 @@
 // timing, and of how many shards the stream is partitioned across.
 // CloseExpired/FlushAll only affect *when* an already-determined fragment is
 // emitted, never its contents.
+//
+// Expiry index (collection (iii) of the paper's sessionizer, "expiration
+// candidates by time"): every open fragment owns exactly one candidate in an
+// indexed min-heap, keyed by the fragment's last_time when the candidate was
+// last armed. Feed never touches the heap for a record that joins an open
+// fragment, so renewed activity is invalidated lazily: CloseExpired pops only
+// candidates whose key has expired, emits the fragment if its true last_time
+// has too, and otherwise re-arms it at its current last_time. Invariant: a
+// candidate's key is <= its fragment's last_time, or the candidate is already
+// due (a Feed-time split keeps the expired fragment's candidate) — either way
+// an expired fragment's candidate is due, which is what makes CloseExpired
+// exact. The heap holds exactly open_sessions() entries.
 #ifndef SRC_CORE_LIVE_CLOSER_H_
 #define SRC_CORE_LIVE_CLOSER_H_
 
@@ -52,6 +64,10 @@ class LiveCloser {
   explicit LiveCloser(EventTime inactivity_ns)
       : inactivity_ns_(inactivity_ns) {}
 
+  // The expiry index points into open_'s nodes: a copy would alias them.
+  LiveCloser(const LiveCloser&) = delete;
+  LiveCloser& operator=(const LiveCloser&) = delete;
+
   // Raises the watermark (monotone; stale values are ignored).
   void ObserveWatermark(EventTime watermark) {
     watermark_ = watermark > watermark_ ? watermark : watermark_;
@@ -63,7 +79,12 @@ class LiveCloser {
   // a global watermark must ObserveWatermark(tag) before each Feed.
   void Feed(LogRecord record, std::vector<Session>* closed);
 
-  // Moves every session idle past the watermark into *closed.
+  // Moves every session idle past the watermark into *closed — exactly the
+  // fragments with last_time + inactivity <= watermark, none later than this
+  // call. Cost is O((expired + re-armed) * log open), not O(open): it visits
+  // only expiry candidates whose key has passed, and a re-armed candidate
+  // moves to its fragment's current last_time, so a still-active fragment is
+  // re-armed at most once per inactivity window of watermark progress.
   void CloseExpired(std::vector<Session>* closed);
 
   // Emits every still-open fragment (end of stream).
@@ -88,7 +109,8 @@ class LiveCloser {
 
   // Restores one open fragment / one fragment counter (ts_ckpt restore path;
   // the pipeline routes each entry to the owning shard). Must happen before
-  // any Feed. Import of an id that is already open replaces it.
+  // any Feed. Import of an id that is already open replaces it (and re-arms
+  // its one expiry candidate at the imported last_time).
   void ImportFragment(LiveCloserState::OpenFragment fragment);
   void SetNextFragment(const std::string& id, uint32_t next);
 
@@ -113,13 +135,35 @@ class LiveCloser {
   uint64_t shed_records() const { return shed_records_; }
   uint64_t shed_fragments() const { return shed_fragments_; }
 
+  // Expiry index gauges: candidates held (always == open_sessions()) and
+  // candidates popped by CloseExpired so far, emitted or re-armed.
+  size_t expiry_candidates() const { return expiry_.size(); }
+  uint64_t expiry_visited() const { return expiry_visited_; }
+
  private:
   struct Open {
     std::vector<LogRecord> records;
     EventTime last_time = 0;
+    size_t candidate = 0;  // This fragment's position in expiry_.
+  };
+  using OpenMap = std::unordered_map<std::string, Open>;
+  // Map nodes are pointer-stable (rehashing moves no node), so a candidate
+  // holds its fragment directly: checking or re-arming one costs no hash
+  // lookup.
+  struct Candidate {
+    EventTime last_time;  // See the invariant at the top of this file.
+    OpenMap::value_type* fragment;
   };
 
-  void Emit(const std::string& id, Open open, std::vector<Session>* closed);
+  void Emit(const std::string& id, std::vector<LogRecord> records,
+            std::vector<Session>* closed);
+
+  // Indexed min-heap maintenance; every move keeps Open::candidate in step.
+  void Arm(OpenMap::value_type* fragment);
+  void Rearm(size_t pos, EventTime last_time);
+  void Disarm(size_t pos);
+  void Place(size_t pos, const Candidate& candidate);
+  void Sift(size_t pos);
 
   EventTime inactivity_ns_;
   EventTime watermark_ = 0;
@@ -129,7 +173,9 @@ class LiveCloser {
   uint64_t shed_records_ = 0;
   uint64_t shed_fragments_ = 0;
   size_t open_bytes_ = 0;
-  std::unordered_map<std::string, Open> open_;
+  uint64_t expiry_visited_ = 0;
+  OpenMap open_;
+  std::vector<Candidate> expiry_;  // Min-heap on Candidate::last_time.
   std::unordered_map<std::string, uint32_t> next_fragment_;
 };
 

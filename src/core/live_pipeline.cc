@@ -343,6 +343,8 @@ void LivePipeline::RestoreCheckpoint(PipelineCheckpoint&& checkpoint) {
     shard.open_bytes.store(shard.closer.open_bytes(),
                            std::memory_order_relaxed);
     shard.watermark.store(shard.closer.watermark(), std::memory_order_relaxed);
+    shard.expiry_candidates.store(shard.closer.expiry_candidates(),
+                                  std::memory_order_relaxed);
   }
 }
 
@@ -432,6 +434,10 @@ void LivePipeline::WorkerLoop(size_t shard_index) {
     shard.open_records.store(closer.open_records(), std::memory_order_relaxed);
     shard.shed_records.store(closer.shed_records(), std::memory_order_relaxed);
     shard.shed_fragments.store(closer.shed_fragments(),
+                               std::memory_order_relaxed);
+    shard.expiry_candidates.store(closer.expiry_candidates(),
+                                  std::memory_order_relaxed);
+    shard.expiry_visited.store(closer.expiry_visited(),
                                std::memory_order_relaxed);
     shard.cpu_ns.store(ThreadCpuNanos(), std::memory_order_relaxed);
     if (batch->barrier != nullptr) {
@@ -525,6 +531,22 @@ uint64_t LivePipeline::shed_lines() const {
   uint64_t total = 0;
   for (const auto& s : shards_) {
     total += s->shed_lines.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+size_t LivePipeline::expiry_candidates() const {
+  size_t total = 0;
+  for (const auto& s : shards_) {
+    total += s->expiry_candidates.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+uint64_t LivePipeline::expiry_visited() const {
+  uint64_t total = 0;
+  for (const auto& s : shards_) {
+    total += s->expiry_visited.load(std::memory_order_relaxed);
   }
   return total;
 }
@@ -627,6 +649,12 @@ void LivePipeline::RegisterMetrics(MetricsRegistry* registry,
   });
   registry->Register(prefix + "shed_lines", [this] {
     return static_cast<int64_t>(shed_lines());
+  });
+  registry->Register(prefix + "expiry_candidates", [this] {
+    return static_cast<int64_t>(expiry_candidates());
+  });
+  registry->Register(prefix + "expiry_visited", [this] {
+    return static_cast<int64_t>(expiry_visited());
   });
   if (options_.mine_templates) {
     registry->Register(prefix + "templates", [this] {

@@ -267,6 +267,11 @@ class LivePipeline {
   uint64_t shed_records() const;     // Records shed from open fragments.
   uint64_t shed_fragments() const;
   uint64_t shed_lines() const;       // Lines dropped pre-parse (head drop).
+  // LiveCloser expiry index, summed across shards: candidates held (equal to
+  // open_sessions() at every batch boundary) and candidates CloseExpired has
+  // popped so far.
+  size_t expiry_candidates() const;
+  uint64_t expiry_visited() const;
   // Min-across-shards processed watermark (0 until every shard has seen one).
   EventTime watermark() const;
   // Global ingest-side watermark (prefix max of event time).
@@ -287,7 +292,8 @@ class LivePipeline {
   // <prefix>backpressure_stall_us, <prefix>blank_lines, the shed-accounting
   // set (<prefix>records_emitted, <prefix>open_records, <prefix>shed_records,
   // <prefix>shed_fragments, <prefix>shed_lines — registered always, zero when
-  // shedding is off) and per shard k: <prefix>shard<k>_open_sessions,
+  // shedding is off), the expiry-index pair <prefix>expiry_candidates and
+  // <prefix>expiry_visited, and per shard k: <prefix>shard<k>_open_sessions,
   // <prefix>shard<k>_records, <prefix>shard<k>_parse_failures,
   // <prefix>shard<k>_queue_depth, <prefix>shard<k>_shed_records,
   // <prefix>shard<k>_shed_lines, <prefix>shard<k>_stall_us.
@@ -345,6 +351,8 @@ class LivePipeline {
     std::atomic<uint64_t> shed_records{0};
     std::atomic<uint64_t> shed_fragments{0};
     std::atomic<uint64_t> shed_lines{0};   // Ingest-thread head drops.
+    std::atomic<size_t> expiry_candidates{0};
+    std::atomic<uint64_t> expiry_visited{0};
     std::atomic<int64_t> stall_ns{0};      // Ingest-thread blocked-push time.
     std::vector<double> close_latencies_ms;  // Worker-owned until join.
     Batch pending;  // Ingest-thread-owned accumulation buffer.

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -237,6 +239,244 @@ TEST(LiveCloserTest, AccountingPartitionHoldsAtEveryQuiescentPoint) {
   closer.FlushAll(&closed);
   EXPECT_EQ(closer.open_records(), 0u);
   EXPECT_EQ(fed, closer.records_emitted() + closer.shed_records());
+}
+
+// Restore path: an imported fragment that gets no further traffic must still
+// close once the watermark passes it (import arms the expiry index).
+TEST(LiveCloserTest, ImportedFragmentClosesOnWatermarkAlone) {
+  LiveCloser closer(2 * kSec);
+  LiveCloserState::OpenFragment fragment;
+  fragment.id = "R";
+  fragment.last_time = 5 * kSec;
+  fragment.records = {Rec("R", 4 * kSec), Rec("R", 5 * kSec)};
+  closer.ImportFragment(std::move(fragment));
+  closer.SetNextFragment("R", 3);
+  EXPECT_EQ(closer.expiry_candidates(), 1u);
+
+  std::vector<Session> closed;
+  closer.ObserveWatermark(7 * kSec - 1);
+  closer.CloseExpired(&closed);
+  EXPECT_TRUE(closed.empty());
+  closer.ObserveWatermark(7 * kSec);
+  closer.CloseExpired(&closed);
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_EQ(closed[0].id, "R");
+  EXPECT_EQ(closed[0].fragment_index, 3u);
+  EXPECT_EQ(closed[0].records.size(), 2u);
+  EXPECT_EQ(closer.open_sessions(), 0u);
+  EXPECT_EQ(closer.expiry_candidates(), 0u);
+}
+
+// Import over an open id replaces the fragment and keeps one candidate for
+// it, re-armed at the imported last_time, even when that is earlier than the
+// fragment it replaces.
+TEST(LiveCloserTest, ImportOverAnOpenIdKeepsOneCandidate) {
+  LiveCloser closer(2 * kSec);
+  std::vector<Session> closed;
+  closer.Feed(Rec("R", 9 * kSec), &closed);
+  closer.Feed(Rec("Q", 9 * kSec), &closed);
+  LiveCloserState::OpenFragment fragment;
+  fragment.id = "R";
+  fragment.last_time = 8 * kSec;
+  fragment.records = {Rec("R", 8 * kSec)};
+  closer.ImportFragment(std::move(fragment));
+  EXPECT_EQ(closer.open_sessions(), 2u);
+  EXPECT_EQ(closer.expiry_candidates(), 2u);
+  closer.ObserveWatermark(10 * kSec);
+  closer.CloseExpired(&closed);
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_EQ(closed[0].id, "R");
+  ASSERT_EQ(closed[0].records.size(), 1u);
+  EXPECT_EQ(closed[0].records[0].time, 8 * kSec);
+  EXPECT_EQ(closer.expiry_candidates(), 1u);
+}
+
+// A Feed-time split keeps the expired fragment's candidate, which is already
+// due: the next CloseExpired finds the new fragment through it even when a
+// late record started that fragment below the candidate's key.
+TEST(LiveCloserTest, SplitByALateRecordClosesOnTheNextCall) {
+  LiveCloser closer(2 * kSec);
+  std::vector<Session> closed;
+  closer.Feed(Rec("S", 10 * kSec), &closed);
+  closer.Feed(Rec("T", 20 * kSec), &closed);
+  closer.Feed(Rec("S", 5 * kSec), &closed);  // Splits S; late and expired.
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_EQ(closed[0].records[0].time, 10 * kSec);
+  closer.CloseExpired(&closed);
+  ASSERT_EQ(closed.size(), 2u);
+  EXPECT_EQ(closed[1].id, "S");
+  EXPECT_EQ(closed[1].fragment_index, 1u);
+  EXPECT_EQ(closed[1].records[0].time, 5 * kSec);
+  EXPECT_EQ(closer.open_sessions(), 1u);
+  EXPECT_EQ(closer.expiry_candidates(), 1u);
+}
+
+// CloseExpired costs O(expired), not O(open): with 10k fragments open and
+// one falling due per watermark step, each call visits one candidate.
+TEST(LiveCloserTest, CloseExpiredVisitsOnlyDueCandidates) {
+  constexpr EventTime kMs = kNanosPerMilli;
+  constexpr int kOpen = 10'000;
+  LiveCloser closer(kOpen * kMs);
+  std::vector<Session> closed;
+  for (int i = 0; i < kOpen; ++i) {
+    closer.Feed(Rec("S" + std::to_string(i), i * kMs), &closed);
+  }
+  closer.CloseExpired(&closed);
+  ASSERT_TRUE(closed.empty());
+  ASSERT_EQ(closer.expiry_visited(), 0u);
+  for (int step = 0; step < 100; ++step) {
+    closer.ObserveWatermark((kOpen + step) * kMs);
+    closer.CloseExpired(&closed);
+    ASSERT_EQ(closed.size(), static_cast<size_t>(step + 1));
+    EXPECT_EQ(closed.back().id, "S" + std::to_string(step));
+    EXPECT_EQ(closer.expiry_visited(), static_cast<uint64_t>(step + 1));
+  }
+  EXPECT_EQ(closer.open_sessions(), static_cast<size_t>(kOpen - 100));
+}
+
+// A fragment kept alive by renewed activity is re-armed lazily: its
+// candidate is visited at most once per window of watermark progress, not
+// once per record.
+TEST(LiveCloserTest, RenewedActivityReArmsOncePerWindow) {
+  LiveCloser closer(10 * kSec);
+  std::vector<Session> closed;
+  for (int t = 0; t < 100; ++t) {  // One record a second for 100 s.
+    closer.Feed(Rec("S", t * kSec), &closed);
+    closer.CloseExpired(&closed);
+  }
+  EXPECT_TRUE(closed.empty());
+  EXPECT_LE(closer.expiry_visited(), 10u);
+  EXPECT_EQ(closer.expiry_candidates(), 1u);
+}
+
+// Memory bound of the expiry index: one candidate per open fragment, however
+// many distinct ids stream through, with shedding keeping the open set small
+// and imports replacing open fragments.
+TEST(LiveCloserTest, ExpiryIndexIsBoundedByOpenFragments) {
+  LiveCloser closer(3600 * kSec);  // Nothing expires: only shedding bounds it.
+  std::vector<Session> closed;
+  size_t budget = 0;
+  size_t max_candidates = 0;
+  for (int i = 0; i < 200'000; ++i) {
+    closer.Feed(Rec("id" + std::to_string(i), i), &closed);
+    if (i == 1000) {
+      budget = closer.open_bytes();
+    }
+    if (i % 97 == 96) {
+      LiveCloserState::OpenFragment fragment;
+      fragment.id = "id" + std::to_string(i);  // Open: replaced in place.
+      fragment.last_time = i - 50;
+      fragment.records = {Rec(fragment.id, i - 50)};
+      closer.ImportFragment(std::move(fragment));
+    }
+    if (i % 64 == 0) {
+      closer.CloseExpired(&closed);
+      if (budget > 0) {
+        closer.ShedOldestUntil(budget);
+      }
+    }
+    ASSERT_EQ(closer.expiry_candidates(), closer.open_sessions()) << i;
+    max_candidates = std::max(max_candidates, closer.expiry_candidates());
+  }
+  EXPECT_TRUE(closed.empty());
+  EXPECT_GT(closer.shed_fragments(), 150'000u);
+  EXPECT_LE(max_candidates, 1002u + 64u);
+  closer.FlushAll(&closed);
+  EXPECT_EQ(closer.expiry_candidates(), 0u);
+}
+
+// Differential check of the expiry index against the eager reference
+// (CloseExpired after every record): random ids, out-of-order and late
+// records, watermark jumps, random CloseExpired cadence, shedding, imports
+// over open and new ids, and mid-stream FlushAll. After every CloseExpired no
+// open fragment may be expired (exactness), and the canonical closed sets of
+// the two runs must match.
+TEST(LiveCloserTest, ExpiryIndexMatchesEagerReference) {
+  constexpr EventTime kWindow = 2 * kSec;
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    std::mt19937_64 rng(seed);
+    const auto below = [&rng](uint64_t n) { return rng() % n; };
+    LiveCloser lazy(kWindow);
+    LiveCloser eager(kWindow);
+    std::vector<Session> lazy_closed;
+    std::vector<Session> eager_closed;
+    const auto check_exact = [&] {
+      lazy.VisitOpenFragments([&](const std::string& id, EventTime last_time,
+                                  const std::vector<LogRecord>&) {
+        EXPECT_GT(last_time + kWindow, lazy.watermark())
+            << "seed " << seed << ": " << id << " expired but open";
+      });
+      ASSERT_EQ(lazy.expiry_candidates(), lazy.open_sessions());
+    };
+    // Shed, import and flush act on the open set, which only matches the
+    // eager run's once both have closed what has expired.
+    const auto sync = [&] {
+      lazy.CloseExpired(&lazy_closed);
+      eager.CloseExpired(&eager_closed);
+      check_exact();
+    };
+    const uint64_t ids = 1 + below(300);
+    EventTime now = 0;
+    for (int op = 0; op < 4000; ++op) {
+      const uint64_t dice = below(1000);
+      if (dice < 900) {
+        now += static_cast<EventTime>(below(kWindow / 40));
+        EventTime t = now;
+        if (below(10) == 0) {  // Late, sometimes past the window.
+          t = std::max<EventTime>(
+              0, t - static_cast<EventTime>(below(3 * kWindow)));
+        }
+        const LogRecord r = Rec("s" + std::to_string(below(ids)), t);
+        lazy.Feed(r, &lazy_closed);
+        eager.Feed(r, &eager_closed);
+        eager.CloseExpired(&eager_closed);
+        if (below(8) == 0) {
+          lazy.CloseExpired(&lazy_closed);
+          check_exact();
+        }
+      } else if (dice < 930) {
+        now += static_cast<EventTime>(below(2 * kWindow));
+        lazy.ObserveWatermark(now);
+        eager.ObserveWatermark(now);
+        eager.CloseExpired(&eager_closed);
+      } else if (dice < 950) {
+        sync();
+        const size_t budget =
+            static_cast<size_t>(below(lazy.open_bytes() + 1));
+        EXPECT_EQ(lazy.ShedOldestUntil(budget), eager.ShedOldestUntil(budget));
+      } else if (dice < 995) {
+        sync();
+        LiveCloserState::OpenFragment fragment;
+        fragment.id = "s" + std::to_string(below(ids + 20));
+        fragment.last_time = std::max<EventTime>(
+            0, now - static_cast<EventTime>(below(kWindow + kWindow / 2)));
+        for (uint64_t n = 1 + below(3); n > 0; --n) {
+          fragment.records.push_back(
+              Rec(fragment.id,
+                  std::max<EventTime>(0, fragment.last_time -
+                                             static_cast<EventTime>(
+                                                 below(kSec)))));
+        }
+        fragment.records.back().time = fragment.last_time;
+        lazy.ImportFragment(fragment);
+        eager.ImportFragment(std::move(fragment));
+        eager.CloseExpired(&eager_closed);
+      } else {
+        lazy.FlushAll(&lazy_closed);
+        eager.FlushAll(&eager_closed);
+      }
+      ASSERT_EQ(lazy.expiry_candidates(), lazy.open_sessions());
+    }
+    lazy.CloseExpired(&lazy_closed);
+    check_exact();
+    lazy.FlushAll(&lazy_closed);
+    eager.FlushAll(&eager_closed);
+    EXPECT_EQ(lazy.sessions_emitted(), eager.sessions_emitted());
+    EXPECT_EQ(lazy.shed_records(), eager.shed_records());
+    EXPECT_EQ(Canonical(std::move(lazy_closed)),
+              Canonical(std::move(eager_closed)))
+        << "seed " << seed;
+  }
 }
 
 }  // namespace

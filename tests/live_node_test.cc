@@ -6,6 +6,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "src/ckpt/checkpointer.h"
+#include "src/common/siphash.h"
 #include "src/node/live_node.h"
 #include "tests/live_node_test_util.h"
 
@@ -217,6 +220,94 @@ TEST(LiveNodeRestore, StaleResumeOffsetIsCaughtByTheDedupeGuard) {
   EXPECT_EQ(replayed.store_digest, baseline.store_digest);
   EXPECT_EQ(std::system(("rm -rf '" + dir + "' '" + stale_dir + "'").c_str()),
             0);
+}
+
+// Restore arms the closer's expiry index: a fragment open at the checkpoint
+// that gets no record after the restart closes on a watermark-only tick,
+// while the stream is still live — not at Shutdown's end-of-stream flush.
+TEST(LiveNodeRestore, RestoredFragmentClosesOnAWatermarkOnlyTick) {
+  constexpr size_t kWorkers = 2;
+  constexpr EventTime kMs = kNanosPerMilli;
+  const std::string restored = "RESTORED";
+  // Every record after the restart goes to the other shard, so the restored
+  // fragment's shard sees only the watermark ticks Flush() sends it.
+  std::vector<std::string> others;
+  for (int i = 0; others.size() < 8; ++i) {
+    std::string id = "other" + std::to_string(i);
+    if (SipHash24(id) % kWorkers != SipHash24(restored) % kWorkers) {
+      others.push_back(std::move(id));
+    }
+  }
+  const auto line = [](const std::string& id, EventTime t) {
+    LogRecord r;
+    r.time = t;
+    r.session_id = id;
+    r.txn_id = *TxnId::Parse("1");
+    r.service = 1;
+    r.host = 1;
+    r.kind = EventKind::kAnnotation;
+    r.payload = "p";
+    return ToWireFormat(r);
+  };
+  std::vector<std::string> archive = {line(restored, 1000 * kMs),
+                                      line(others[0], 1001 * kMs)};
+  const uint64_t cut = archive.size();
+  for (int i = 1; i <= 20; ++i) {  // 50 ms apart: past the 200 ms window.
+    archive.push_back(line(others[i % others.size()], (1000 + 50 * i) * kMs));
+  }
+
+  const std::string dir = TempDir("ts_node_restored_expiry");
+  RunNode(archive, cut, dir);
+  const CheckpointState snapshot = LatestSnapshot(dir);
+  ASSERT_EQ(snapshot.resume_offset, cut);
+  bool restored_open = false;
+  for (const auto& fragment : snapshot.closers.open) {
+    restored_open |= fragment.id == restored;
+  }
+  ASSERT_TRUE(restored_open);
+
+  PrefixUpstream upstream;
+  LiveNodeOptions options = TestNodeOptions(upstream.port(), kWorkers);
+  options.pipeline.inactivity_ns = 200 * kMs;
+  options.checkpoint.emplace();
+  options.checkpoint->dir = dir;
+  options.checkpoint->interval_ms = 0;
+  std::mutex mu;
+  std::vector<Session> closes;
+  LiveNode node(
+      std::move(options),
+      [&](const Session& s) {
+        std::lock_guard<std::mutex> lock(mu);
+        closes.push_back(s);
+      },
+      /*log=*/nullptr);
+  ASSERT_TRUE(node.Start());
+  ASSERT_EQ(node.records_received(), cut);
+  upstream.Serve(archive, archive.size());
+  node.Run();
+  const auto closed_restored = [&]() -> std::optional<Session> {
+    std::lock_guard<std::mutex> lock(mu);
+    for (const auto& s : closes) {
+      if (s.id == restored) {
+        return s;
+      }
+    }
+    return std::nullopt;
+  };
+  for (int i = 0; i < 500 && !closed_restored(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const std::optional<Session> s = closed_restored();
+  ASSERT_TRUE(s.has_value()) << "restored fragment still open before Shutdown";
+  EXPECT_EQ(s->fragment_index, 0u);
+  ASSERT_EQ(s->records.size(), 1u);
+  EXPECT_EQ(s->records[0].time, 1000 * kMs);
+  node.Shutdown();
+  // STATS serves the expiry index: empty after the final flush, and visited
+  // at least for the restored fragment.
+  EXPECT_EQ(Gauge(node, "live_expiry_candidates"), 0);
+  EXPECT_GE(Gauge(node, "live_expiry_visited"), 1);
+  EXPECT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
 }
 
 // Runs a checkpointing node to end of stream, then shuts it down while the

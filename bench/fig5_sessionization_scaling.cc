@@ -10,7 +10,11 @@
 // adds network transfer cost, which the paper found small next to compute
 // until >16 workers).
 //
-// Flags: --rate (records/s), --seconds (trace length), --max_workers.
+// Every configuration sessionizes the same trace, so the session count must
+// not depend on the worker count: the bench exits 1 if it does.
+//
+// Flags: --rate (records/s), --seconds (trace length), --max_workers,
+// --max_hosts.
 #include <cstdio>
 
 #include "bench/bench_common.h"
@@ -84,5 +88,14 @@ int main(int argc, char** argv) {
       "\nPaper shape: latency drops with added workers until parallelism is\n"
       "exhausted (~8-16); beyond that, per-epoch coordination (progress traffic,\n"
       "which grows with workers above) and load imbalance erase further gains.\n");
+  for (const auto& r : rows) {
+    if (r.sessions != rows.front().sessions) {
+      std::fprintf(stderr, "FAIL: %s emitted %llu sessions, %s emitted %llu\n",
+                   r.label.c_str(), static_cast<unsigned long long>(r.sessions),
+                   rows.front().label.c_str(),
+                   static_cast<unsigned long long>(rows.front().sessions));
+      return 1;
+    }
+  }
   return 0;
 }

@@ -90,7 +90,6 @@ int main() {
 
     SessionizeOptions sess;
     sess.inactivity_epochs = 5;  // Close after 5 quiet seconds.
-    sess.track_fragments = true;
     auto [sessions, metrics] = Sessionize(scope, records, sess);
     auto trees = ConstructTraceTrees(scope, sessions);
 

@@ -5,8 +5,9 @@
 
 namespace ts {
 
-void LiveCloser::Feed(LogRecord record, std::vector<Session>* closed) {
-  ObserveWatermark(record.time);
+void LiveCloser::Feed(LogRecord record, EventTime at,
+                      std::vector<Session>* closed) {
+  ObserveWatermark(at);
   auto [it, inserted] = open_.try_emplace(record.session_id);
   Open& open = it->second;
   if (!inserted && !open.records.empty() &&
@@ -16,11 +17,12 @@ void LiveCloser::Feed(LogRecord record, std::vector<Session>* closed) {
     // fragment boundaries independent of CloseExpired cadence and shard count.
     // The candidate stays: its key is <= the expired last_time, so it is
     // already due, and the next CloseExpired re-arms it for the new fragment.
-    Emit(it->first, std::move(open.records), closed);
+    Emit(it->first, &open, closed);
     open.records.clear();
     open.last_time = 0;
   }
-  open.last_time = std::max(open.last_time, record.time);
+  open.first_time = open.records.empty() ? at : std::min(open.first_time, at);
+  open.last_time = std::max(open.last_time, at);
   // A record joining an open fragment only raises last_time, which keeps the
   // candidate's key a lower bound: no heap work on that path.
   if (inserted) {
@@ -38,7 +40,7 @@ void LiveCloser::CloseExpired(std::vector<Session>* closed) {
     OpenMap::value_type* fragment = expiry_.front().fragment;
     Open& open = fragment->second;
     if (open.last_time + inactivity_ns_ <= watermark_) {
-      Emit(fragment->first, std::move(open.records), closed);
+      Emit(fragment->first, &open, closed);
       Disarm(0);
       open_.erase(open_.find(fragment->first));
     } else {
@@ -50,7 +52,7 @@ void LiveCloser::CloseExpired(std::vector<Session>* closed) {
 
 void LiveCloser::FlushAll(std::vector<Session>* closed) {
   for (auto& [id, open] : open_) {
-    Emit(id, std::move(open.records), closed);
+    Emit(id, &open, closed);
   }
   open_.clear();
   expiry_.clear();
@@ -92,7 +94,9 @@ void LiveCloser::ImportFragment(LiveCloserState::OpenFragment fragment) {
   open_records_ -= std::min<uint64_t>(open_records_, open.records.size());
   open.last_time = fragment.last_time;
   open.records = std::move(fragment.records);
+  open.first_time = open.last_time;
   for (const auto& r : open.records) {
+    open.first_time = std::min(open.first_time, r.time);
     open_bytes_ += r.MemoryFootprint();
   }
   open_records_ += open.records.size();
@@ -148,12 +152,13 @@ void LiveCloser::SetNextFragment(const std::string& id, uint32_t next) {
   next_fragment_[id] = next;
 }
 
-void LiveCloser::Emit(const std::string& id, std::vector<LogRecord> records,
+void LiveCloser::Emit(const std::string& id, Open* open,
                       std::vector<Session>* closed) {
   // Stable sort by event time: ties keep arrival order, matching the offline
   // sessionizer's record ordering on the same input. Most fragments arrive
   // already time-ordered, and stable_sort allocates a temporary buffer per
   // call — skip it when a linear check shows there is nothing to do.
+  std::vector<LogRecord> records = std::move(open->records);
   const auto time_lt = [](const LogRecord& a, const LogRecord& b) {
     return a.time < b.time;
   };
@@ -164,10 +169,8 @@ void LiveCloser::Emit(const std::string& id, std::vector<LogRecord> records,
   s.id = id;
   s.fragment_index = next_fragment_[id]++;
   s.records = std::move(records);
-  s.first_epoch =
-      static_cast<Epoch>(s.records.front().time / kNanosPerSecond);
-  s.last_epoch =
-      static_cast<Epoch>(s.records.back().time / kNanosPerSecond);
+  s.first_epoch = static_cast<Epoch>(open->first_time / kNanosPerSecond);
+  s.last_epoch = static_cast<Epoch>(open->last_time / kNanosPerSecond);
   s.closed_at = s.last_epoch;
   size_t bytes = 0;
   for (const auto& r : s.records) {

@@ -1,7 +1,16 @@
-// LiveCloser: watermark-driven sessionization state for the live
-// (--connect --serve) path — the streaming analogue of OfflineSessionizer's
-// inactivity-gap splitting. A session fragment closes once the watermark has
-// advanced `inactivity_ns` past the fragment's last record.
+// LiveCloser: the one sessionization kernel (the paper's §4.2 windowed
+// group-by with "flush on inactivity"). Every online path runs it: the live
+// (--connect --serve) pipeline, one closer per shard, and the timely
+// Sessionize operator, one closer per worker. A session fragment closes once
+// the watermark has advanced `inactivity_ns` past the fragment's last record.
+// OfflineSessionizer shares no code with it and stays the reference it is
+// checked against.
+//
+// Each record is keyed on a time in nanoseconds: its own event time by
+// default, or one the caller supplies (the timely operator keys on the
+// record's epoch). Fragment boundaries and expiry follow the keys, and an
+// emitted fragment's first/last epochs are its least and greatest key in
+// whole seconds.
 //
 // Determinism contract (what makes sharded output byte-identical): the caller
 // supplies the watermark explicitly, as the prefix-maximum event time of the
@@ -32,6 +41,7 @@
 #include <functional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/time_util.h"
@@ -73,11 +83,20 @@ class LiveCloser {
     watermark_ = watermark > watermark_ ? watermark : watermark_;
   }
 
-  // Feeds one record. If the record's session has an open fragment that is
-  // already expired at the current watermark, that fragment is emitted to
-  // *closed first and the record starts the next fragment. Callers that track
-  // a global watermark must ObserveWatermark(tag) before each Feed.
-  void Feed(LogRecord record, std::vector<Session>* closed);
+  // Feeds one record, keyed on its event time. If the record's session has an
+  // open fragment that is already expired at the current watermark, that
+  // fragment is emitted to *closed first and the record starts the next
+  // fragment. Callers that track a global watermark must
+  // ObserveWatermark(tag) before each Feed.
+  void Feed(LogRecord record, std::vector<Session>* closed) {
+    const EventTime at = record.time;
+    Feed(std::move(record), at, closed);
+  }
+
+  // Feeds one record keyed on `at` instead of record.time; the key raises the
+  // watermark as record.time would. The record keeps its own time, by which
+  // an emitted fragment's records are still ordered.
+  void Feed(LogRecord record, EventTime at, std::vector<Session>* closed);
 
   // Moves every session idle past the watermark into *closed — exactly the
   // fragments with last_time + inactivity <= watermark, none later than this
@@ -143,6 +162,7 @@ class LiveCloser {
  private:
   struct Open {
     std::vector<LogRecord> records;
+    EventTime first_time = 0;  // Least key, for Session::first_epoch.
     EventTime last_time = 0;
     size_t candidate = 0;  // This fragment's position in expiry_.
   };
@@ -155,8 +175,8 @@ class LiveCloser {
     OpenMap::value_type* fragment;
   };
 
-  void Emit(const std::string& id, std::vector<LogRecord> records,
-            std::vector<Session>* closed);
+  // Moves *open's records out into a Session appended to *closed.
+  void Emit(const std::string& id, Open* open, std::vector<Session>* closed);
 
   // Indexed min-heap maintenance; every move keeps Open::candidate in step.
   void Arm(OpenMap::value_type* fragment);

@@ -14,14 +14,17 @@ namespace ts {
 // All log records observed for one session ID between two quiet periods. With
 // online sessionization a logical user session may be emitted as multiple
 // Session fragments if it goes idle longer than the inactivity delay and later
-// resumes (§2.2); `fragment_index` numbers the fragments a worker emitted for
-// the same ID.
+// resumes (§2.2); `fragment_index` numbers the fragments emitted for the same
+// ID.
 struct Session {
   std::string id;
-  std::vector<LogRecord> records;  // In arrival (epoch) order.
+  std::vector<LogRecord> records;  // Event-time order; ties keep arrival order.
   Epoch first_epoch = 0;           // Epoch of the earliest contributing record.
   Epoch last_epoch = 0;            // Epoch of the latest contributing record.
-  Epoch closed_at = 0;             // Epoch whose notification flushed the session.
+  // Epoch at which the session was emitted: the notification that flushed it,
+  // last_epoch + inactivity_epochs, for the timely Sessionize operator;
+  // last_epoch on the live and offline paths, which emit on a watermark.
+  Epoch closed_at = 0;
   uint32_t fragment_index = 0;
 
   EventTime MinTime() const {

@@ -9,14 +9,6 @@
 
 namespace ts {
 
-int64_t RunResult::MaxWorkerCpuNanos() const {
-  int64_t max_ns = 0;
-  for (const auto& w : workers) {
-    max_ns = std::max(max_ns, w.cpu_ns);
-  }
-  return max_ns;
-}
-
 int64_t RunResult::TotalWorkerCpuNanos() const {
   int64_t total = 0;
   for (const auto& w : workers) {

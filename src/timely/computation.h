@@ -18,7 +18,6 @@ struct RunResult {
   uint64_t data_batches = 0;
   uint64_t records_exchanged = 0;
 
-  int64_t MaxWorkerCpuNanos() const;
   int64_t TotalWorkerCpuNanos() const;
 };
 

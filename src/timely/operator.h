@@ -53,7 +53,6 @@ class OutputSession {
       : self_(self), workers_(workers), counters_(counters) {}
 
   void AddTarget(OutputTarget<T> target) { targets_.push_back(std::move(target)); }
-  size_t num_targets() const { return targets_.size(); }
 
   // Emits one record at epoch `epoch`.
   void Give(Epoch epoch, T value) {

@@ -56,8 +56,6 @@ class Scope {
   explicit Scope(WorkerGraph* graph) : graph_(graph) {}
 
   size_t worker_index() const { return graph_->index(); }
-  size_t num_workers() const { return graph_->workers(); }
-  WorkerGraph* graph() { return graph_; }
 
   // Registers a per-quantum driver that feeds inputs (replayer, generator...).
   void AddDriver(std::function<DriverStatus()> driver) {

@@ -2,7 +2,6 @@
 #ifndef SRC_TIMELY_TIMELY_H_
 #define SRC_TIMELY_TIMELY_H_
 
-#include "src/timely/binary_operator.h"
 #include "src/timely/computation.h"
 #include "src/timely/frontier.h"
 #include "src/timely/operator.h"

@@ -45,7 +45,6 @@ class Topology {
   const std::vector<Node>& nodes() const { return nodes_; }
   const std::vector<Edge>& edges() const { return edges_; }
   int num_locations() const { return num_locations_; }
-  bool finalized() const { return finalized_; }
 
   // Locations whose outstanding work can still produce a message on edge `e`
   // (including e's own message location).

@@ -89,7 +89,6 @@ PipelineResult RunPipeline(const std::vector<LogRecord>& records, size_t workers
     auto [input, stream] = scope.NewInput<LogRecord>("logs");
     SessionizeOptions sess_options;
     sess_options.inactivity_epochs = inactivity;
-    sess_options.track_fragments = true;
     auto [sessions, metrics] = Sessionize(scope, stream, sess_options);
     auto inspected = scope.Inspect<Session>(
         sessions, "collect_sessions",

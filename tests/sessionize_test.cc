@@ -124,7 +124,6 @@ TEST(Sessionize, GapEqualToTimeoutDoesNotSplit) {
 TEST(Sessionize, GapBeyondTimeoutFragmentsSession) {
   SessionizeOptions options;
   options.inactivity_epochs = 2;
-  options.track_fragments = true;
   auto run = RunSessionize(
       1, options, {{0, {Rec("A", 0)}}, {1, {Rec("A", 1)}}, {10, {Rec("A", 10)}}});
   ASSERT_EQ(run.sessions.size(), 2u);

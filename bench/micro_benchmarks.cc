@@ -1,10 +1,17 @@
 // Engine micro-benchmarks (google-benchmark): the per-record costs that
 // compose into TS's epoch latency — hashing, wire parsing, re-ordering, tree
-// construction, signatures, exchange-hub transfers, and live-path expiry.
+// construction, signatures, exchange-hub transfers, live-path expiry, and
+// the store's eviction churn.
 #include <benchmark/benchmark.h>
 
+#include <latch>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
+
+#include "src/analytics/session_store.h"
+#include "src/common/retire_queue.h"
 
 #include "src/common/rng.h"
 #include "src/common/siphash.h"
@@ -163,6 +170,85 @@ void BM_LiveCloserExpiry(benchmark::State& state) {
       static_cast<double>(closer.expiry_visited() - visited_before) / batches;
 }
 BENCHMARK(BM_LiveCloserExpiry)->Arg(1'000)->Arg(10'000)->Arg(100'000);
+
+// Two threads insert sessions they built into one budgeted SessionStore, as
+// the live path's shard workers do, so each insert past the budget evicts the
+// oldest session — built by either thread. Arg 0 lets the store destroy each
+// victim where it is evicted: on whichever thread inserted (after releasing
+// its lock), often freeing the other thread's blocks. Arg 1 retires each
+// victim to the thread that built it (LiveNode's Retire sink), which frees
+// its queue every kDrainEvery inserts, outside the lock. One iteration is
+// kPerThread inserts per thread into a store already at its budget.
+void BM_StoreEvictChurn(benchmark::State& state) {
+  constexpr int kThreads = 2;
+  constexpr int kPerThread = 4'000;
+  constexpr int kDrainEvery = 64;
+  constexpr int kRecords = 40;
+  const bool retire = state.range(0) != 0;
+  SessionStore::Options options;
+  options.max_bytes = 16u << 20;
+  SessionStore store(options);
+  std::vector<RetireQueue<Session>> queues(kThreads);
+  if (retire) {
+    // Session ids start with the builder's thread index.
+    store.SetEvictionSink([&queues](Session&& s) {
+      queues[static_cast<size_t>(s.id[0] - '0')].Push(std::move(s));
+    });
+  }
+  const auto build = [](int thread, uint64_t n) {
+    Session s;
+    s.id = std::to_string(thread) + "-session-" + std::to_string(n);
+    s.records.resize(kRecords);
+    for (int i = 0; i < kRecords; ++i) {
+      LogRecord& r = s.records[static_cast<size_t>(i)];
+      r.time = static_cast<EventTime>(n * kRecords + static_cast<uint64_t>(i));
+      r.session_id = s.id;
+      r.txn_id = *TxnId::Parse("1-2-3");
+      r.service = static_cast<uint32_t>(i % 16);
+      r.payload = "payload of record " + std::to_string(i) + " in " + s.id;
+    }
+    return s;
+  };
+  uint64_t next[kThreads] = {};
+  const auto run = [&](int thread, std::latch* done) {
+    for (int i = 0; i < kPerThread; ++i) {
+      store.Insert(build(thread, next[thread]++));
+      if (retire && i % kDrainEvery == 0) {
+        queues[static_cast<size_t>(thread)].Drain();
+      }
+    }
+    done->arrive_and_wait();  // No more evictions: free the rest here.
+    queues[static_cast<size_t>(thread)].Drain();
+  };
+  const auto round = [&] {
+    std::latch done(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back(run, t, &done);
+    }
+    for (auto& t : threads) {
+      t.join();
+    }
+  };
+  while (store.stats().evicted == 0) {  // Fill to the budget.
+    round();
+  }
+  const uint64_t evicted_before = store.stats().evicted;
+  for (auto _ : state) {
+    round();
+  }
+  const double inserts =
+      static_cast<double>(state.iterations()) * kThreads * kPerThread;
+  state.SetItemsProcessed(static_cast<int64_t>(inserts));
+  state.counters["evicted_per_insert"] =
+      static_cast<double>(store.stats().evicted - evicted_before) / inserts;
+}
+BENCHMARK(BM_StoreEvictChurn)
+    ->ArgName("retire")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_TraceTreeBuild(benchmark::State& state) {
   const auto records = SampleRecords(20'000);

@@ -28,6 +28,19 @@ void DependencyGraph::AddTree(const TraceTree& tree) {
   }
 }
 
+void DependencyGraph::Merge(const DependencyGraph& other) {
+  for (const auto& [key, stats] : other.edges_) {
+    auto [it, inserted] = edges_.emplace(key, EdgeStats{});
+    it->second.calls += stats.calls;
+    it->second.child_latency_ms.Merge(stats.child_latency_ms);
+    if (inserted) {
+      out_[key.first].push_back(key.second);
+      in_[key.second].push_back(key.first);
+    }
+  }
+  total_calls_ += other.total_calls_;
+}
+
 std::vector<std::pair<uint32_t, const DependencyGraph::EdgeStats*>>
 DependencyGraph::Callees(uint32_t service) const {
   std::vector<std::pair<uint32_t, const EdgeStats*>> out;

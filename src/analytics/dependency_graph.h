@@ -30,6 +30,12 @@ class DependencyGraph {
   // edge contributes a call and the child's duration.
   void AddTree(const TraceTree& tree);
 
+  // Folds in every tree `other` has seen: per-edge calls and latency stats
+  // combine (OnlineStats::Merge), so counts, HeaviestEdges and the closures
+  // match one graph fed both tree streams. Edges new to this graph join the
+  // adjacency lists after the ones it already had.
+  void Merge(const DependencyGraph& other);
+
   // Direct callees of `service` with their edge stats, ordered by call count
   // (descending).
   std::vector<std::pair<uint32_t, const EdgeStats*>> Callees(uint32_t service) const;

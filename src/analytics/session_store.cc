@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/common/status.h"
+
 namespace ts {
 
 SessionStore::EntryList::iterator SessionStore::InsertLocked(Session session) {
@@ -35,7 +37,7 @@ SessionStore::EntryList::iterator SessionStore::InsertLocked(Session session) {
 }
 
 void SessionStore::Insert(Session session) {
-  bool evicted = false;
+  EntryList victims;  // Destroyed after mu_ is released.
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = InsertLocked(std::move(session));
@@ -43,7 +45,7 @@ void SessionStore::Insert(Session session) {
     // window and arrival in the next tier are one atomic step — a concurrent
     // query always finds the session in exactly one tier, and sink calls
     // across the N inserting shard workers are serialized in eviction order.
-    evicted = EvictIfNeeded();
+    EvictIfNeeded(&victims);
     // `it` survives eviction: EvictIfNeeded never removes the newest entry.
     for (const auto& [token, observer] : observers_) {
       observer(it->session);
@@ -51,7 +53,7 @@ void SessionStore::Insert(Session session) {
   }
   // Outside mu_: blocking backpressure (and anything that needs to query the
   // store) lives in the barrier, not the sink.
-  if (evicted && eviction_barrier_) {
+  if (!victims.empty() && eviction_barrier_) {
     eviction_barrier_();
   }
 }
@@ -60,17 +62,15 @@ void SessionStore::Unindex(EntryList::iterator it) {
   by_id_.erase({it->session.id, it->session.fragment_index});
   // The entry's service set is recorded at insert, so each service index is
   // trimmed directly — no scan over unrelated services. Eviction order is
-  // insertion order, hence the victim is at (or near) the vector front.
+  // insertion order, hence the victim heads each of its services' deques.
   for (uint32_t s : it->services) {
     auto by_service = by_service_.find(s);
     if (by_service == by_service_.end()) {
       continue;
     }
     auto& list = by_service->second;
-    auto pos = std::find(list.begin(), list.end(), it);
-    if (pos != list.end()) {
-      list.erase(pos);
-    }
+    TS_CHECK(list.front() == it);
+    list.pop_front();
     if (list.empty()) {
       by_service_.erase(by_service);  // Keep dead services from accumulating.
     }
@@ -84,21 +84,18 @@ void SessionStore::Unindex(EntryList::iterator it) {
   }
 }
 
-bool SessionStore::EvictIfNeeded() {
-  bool evicted = false;
+void SessionStore::EvictIfNeeded(EntryList* victims) {
   while (stats_.bytes > options_.max_bytes && entries_.size() > 1) {
     auto oldest = entries_.begin();
     stats_.bytes -= oldest->bytes;
     --stats_.sessions;
     ++stats_.evicted;
-    evicted = true;
     Unindex(oldest);
     if (eviction_sink_) {
       eviction_sink_(std::move(oldest->session));
     }
-    entries_.erase(oldest);
+    victims->splice(victims->end(), entries_, oldest);
   }
-  return evicted;
 }
 
 std::optional<Session> SessionStore::GetById(const std::string& id,
@@ -210,7 +207,7 @@ SessionStore::SeqWindow SessionStore::ForEachSessionSince(
 
 void SessionStore::ImportSnapshot(std::vector<Session> sessions,
                                   uint64_t inserted, uint64_t evicted) {
-  bool spilled = false;
+  EntryList victims;  // Destroyed after mu_ is released.
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& session : sessions) {
@@ -219,13 +216,13 @@ void SessionStore::ImportSnapshot(std::vector<Session> sessions,
     // A restore into a smaller budget re-spills (sink under mu_, like
     // Insert); the cold tier dedupes anything that was already durable, and
     // prefix order is preserved (oldest first).
-    spilled = EvictIfNeeded();
+    EvictIfNeeded(&victims);
     // Lifetime counters continue from the snapshot, not from the rebuild: the
     // rebuild itself is not an insert the pre-crash run didn't already count.
     stats_.inserted = inserted;
     stats_.evicted = evicted;
   }
-  if (spilled && eviction_barrier_) {
+  if (!victims.empty() && eviction_barrier_) {
     eviction_barrier_();
   }
 }

@@ -9,6 +9,7 @@
 #define SRC_ANALYTICS_SESSION_STORE_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <list>
 #include <map>
@@ -139,9 +140,10 @@ class SessionStore {
   using EntryList = std::list<Entry>;
 
   // Caller holds mu_. Each victim is handed to the eviction sink (when set)
-  // as it is unindexed, still under mu_. Returns true if anything was
-  // evicted, so the caller can run the eviction barrier after unlocking.
-  bool EvictIfNeeded();
+  // as it is unindexed, still under mu_, then moved to `victims` — which the
+  // caller destroys after unlocking, so no free runs under mu_ — and whose
+  // non-emptiness tells the caller to run the eviction barrier.
+  void EvictIfNeeded(EntryList* victims);
   void Unindex(EntryList::iterator it);
   EntryList::iterator InsertLocked(Session session);  // Caller holds mu_.
 
@@ -152,8 +154,9 @@ class SessionStore {
   std::map<std::pair<std::string, uint32_t>, EntryList::iterator> by_id_;
   // service -> entries that touched it, insertion order preserved. Eviction
   // unindexes an entry from exactly the services in Entry::services; since
-  // eviction is oldest-first, the victim sits at the front of each vector.
-  std::unordered_map<uint32_t, std::vector<EntryList::iterator>> by_service_;
+  // eviction is oldest-first, the victim sits at the front of each deque and
+  // is popped in O(1).
+  std::unordered_map<uint32_t, std::deque<EntryList::iterator>> by_service_;
   // start time -> entry.
   std::multimap<EventTime, EntryList::iterator> by_time_;
   Stats stats_;

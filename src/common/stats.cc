@@ -21,6 +21,25 @@ void OnlineStats::Add(double x) {
   m2_ += delta * (x - mean_);
 }
 
+void OnlineStats::Merge(const OnlineStats& other) {
+  if (other.count_ == 0) {
+    return;
+  }
+  if (count_ == 0) {
+    *this = other;
+    return;
+  }
+  min_ = std::min(min_, other.min_);
+  max_ = std::max(max_, other.max_);
+  const double n_a = static_cast<double>(count_);
+  const double n_b = static_cast<double>(other.count_);
+  const double n = n_a + n_b;
+  const double delta = other.mean_ - mean_;
+  mean_ += delta * n_b / n;
+  m2_ += other.m2_ + delta * delta * n_a * n_b / n;
+  count_ += other.count_;
+}
+
 double OnlineStats::variance() const {
   return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
 }

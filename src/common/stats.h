@@ -16,6 +16,10 @@ namespace ts {
 class OnlineStats {
  public:
   void Add(double x);
+  // Folds in every sample `other` has seen, as if each had been Add()ed here
+  // (Chan et al.'s pairwise update: count, min and max exact, mean and
+  // variance up to rounding).
+  void Merge(const OnlineStats& other);
   size_t count() const { return count_; }
   double mean() const { return mean_; }
   double variance() const;

@@ -33,7 +33,10 @@ std::string_view TrimLineEnding(std::string_view line) {
 }  // namespace
 
 LivePipeline::LivePipeline(const LivePipelineOptions& options, SessionSink sink)
-    : options_(options), sink_(std::move(sink)) {
+    : options_(options),
+      sink_(std::move(sink)),
+      workers_done_(
+          static_cast<std::ptrdiff_t>(std::max<size_t>(1, options.workers))) {
   options_.workers = std::max<size_t>(1, options_.workers);
   options_.queue_capacity = std::max<size_t>(1, options_.queue_capacity);
   options_.max_batch_records = std::max<size_t>(1, options_.max_batch_records);
@@ -123,9 +126,9 @@ void LivePipeline::FeedView(std::string_view line, const ArenaRef& arena) {
   size_t shard_index;
   if (ExtractRouteKey(view, &time, &session_id)) {
     ingest_watermark_ = std::max(ingest_watermark_, time);
-    shard_index = SipHash24(session_id) % shards_.size();
+    shard_index = ShardOf(session_id);
   } else {
-    shard_index = SipHash24(view.line) % shards_.size();
+    shard_index = ShardOf(view.line);
   }
   Item item;
   item.view = view;
@@ -141,7 +144,7 @@ void LivePipeline::FeedRecord(LogRecord record) {
     record.payload = miner_scratch_;
   }
   ingest_watermark_ = std::max(ingest_watermark_, record.time);
-  const size_t shard_index = SipHash24(record.session_id) % shards_.size();
+  const size_t shard_index = ShardOf(record.session_id);
   Item item;
   item.record = std::move(record);
   item.parsed = true;
@@ -329,11 +332,10 @@ void LivePipeline::RestoreCheckpoint(PipelineCheckpoint&& checkpoint) {
   }
   ingest_watermark_ = std::max(ingest_watermark_, checkpoint.ingest_watermark);
   for (auto& fragment : checkpoint.closers.open) {
-    Shard& shard = *shards_[SipHash24(fragment.id) % shards_.size()];
-    shard.closer.ImportFragment(std::move(fragment));
+    shards_[ShardOf(fragment.id)]->closer.ImportFragment(std::move(fragment));
   }
   for (const auto& [id, next] : checkpoint.closers.next_fragment) {
-    shards_[SipHash24(id) % shards_.size()]->closer.SetNextFragment(id, next);
+    shards_[ShardOf(id)]->closer.SetNextFragment(id, next);
   }
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
@@ -363,6 +365,24 @@ void LivePipeline::Finish() {
     if (shard_ptr->worker.joinable()) {
       shard_ptr->worker.join();
     }
+    // The workers freed their queues after the last emission; what is left
+    // was retired from outside the pipeline since. Later Retire() calls get
+    // their session back.
+    shard_ptr->retire_queue.Close();
+  }
+}
+
+size_t LivePipeline::ShardOf(std::string_view id) const {
+  return SipHash24(id) % shards_.size();
+}
+
+void LivePipeline::Retire(Session&& session) {
+  shards_[ShardOf(session.id)]->retire_queue.Push(std::move(session));
+}
+
+void LivePipeline::DrainRetired(Shard& shard) {
+  if (const size_t freed = shard.retire_queue.Drain(); freed > 0) {
+    shard.retired_sessions.fetch_add(freed, std::memory_order_relaxed);
   }
 }
 
@@ -376,6 +396,9 @@ void LivePipeline::WorkerLoop(size_t shard_index) {
   uint64_t records = 0;
   uint64_t parse_failures = 0;
   while (auto batch = shard.queue.Pop()) {
+    // Sessions this shard built and another thread released (store
+    // evictions) are freed here, on the thread whose allocator owns them.
+    DrainRetired(shard);
     if (batch->reset_interners) {
       interners.Clear();
     }
@@ -453,6 +476,11 @@ void LivePipeline::WorkerLoop(size_t shard_index) {
       barrier.release_cv.wait(lock, [&barrier] { return barrier.released; });
     }
   }
+  // End of stream. Other shards may still be emitting, and their inserts may
+  // evict sessions this shard built: wait until every shard is past its last
+  // emission, then free the rest here.
+  workers_done_.arrive_and_wait();
+  DrainRetired(shard);
 }
 
 uint64_t LivePipeline::records() const {
@@ -551,6 +579,22 @@ uint64_t LivePipeline::expiry_visited() const {
   return total;
 }
 
+uint64_t LivePipeline::retired_sessions() const {
+  uint64_t total = 0;
+  for (const auto& s : shards_) {
+    total += s->retired_sessions.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+size_t LivePipeline::retire_pending() const {
+  size_t total = 0;
+  for (const auto& s : shards_) {
+    total += s->retire_queue.pending();
+  }
+  return total;
+}
+
 EventTime LivePipeline::watermark() const {
   EventTime min_wm = 0;
   bool first = true;
@@ -603,6 +647,7 @@ LiveShardSnapshot LivePipeline::shard(size_t i) const {
   snap.shed_fragments = s.shed_fragments.load(std::memory_order_relaxed);
   snap.shed_lines = s.shed_lines.load(std::memory_order_relaxed);
   snap.stall_ns = s.stall_ns.load(std::memory_order_relaxed);
+  snap.retired_sessions = s.retired_sessions.load(std::memory_order_relaxed);
   return snap;
 }
 
@@ -637,6 +682,14 @@ void LivePipeline::RegisterMetrics(MetricsRegistry* registry,
   // records == records_emitted + open_records + shed_records.
   registry->Register(prefix + "records_emitted", [this] {
     return static_cast<int64_t>(records_emitted());
+  });
+  // Closed sessions released by the store and not yet / already freed on
+  // their owner shard (Retire).
+  registry->Register(prefix + "retired_sessions", [this] {
+    return static_cast<int64_t>(retired_sessions());
+  });
+  registry->Register(prefix + "retire_pending", [this] {
+    return static_cast<int64_t>(retire_pending());
   });
   registry->Register(prefix + "open_records", [this] {
     return static_cast<int64_t>(open_records());

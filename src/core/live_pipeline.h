@@ -12,7 +12,14 @@
 // with that watermark, and route it by SipHash-2-4(session id) % N — the same
 // exchange hash SessionHash() uses for the timely engine. Everything expensive
 // (full wire parse, LiveCloser state, session emission) runs on the shard
-// workers, in parallel.
+// workers, in parallel. ShardOf(id) is that routing, and the one place it is
+// computed.
+//
+// Ownership: the shard worker that emits a session allocated it, so it is
+// also the thread that frees it. Retire() is the way back for a session
+// released elsewhere (a SessionStore eviction, which runs on whichever
+// shard's insert pushed the store over budget): it queues the session to
+// ShardOf(id), whose worker destroys its queue at the top of each batch.
 //
 // Determinism: all records of a session land on one shard, in arrival order,
 // each carrying the global watermark at its position in the arrival stream.
@@ -40,15 +47,18 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "src/common/arena.h"
 #include "src/common/fixed_queue.h"
 #include "src/common/metrics_registry.h"
+#include "src/common/retire_queue.h"
 #include "src/common/time_util.h"
 #include "src/core/live_closer.h"
 #include "src/core/session.h"
@@ -116,6 +126,7 @@ struct LiveShardSnapshot {
   uint64_t shed_fragments = 0;   // Open fragments dropped whole.
   uint64_t shed_lines = 0;       // Pre-parse lines dropped by queue head-drop.
   int64_t stall_ns = 0;          // Ingest time spent blocked on this queue.
+  uint64_t retired_sessions = 0;  // Retire()d sessions this worker destroyed.
 };
 
 // A watermark-aligned consistent snapshot of the pipeline's mutable state,
@@ -239,12 +250,28 @@ class LivePipeline {
   PipelineCheckpoint CaptureCheckpoint();
 
   // Restores a snapshot into a fresh pipeline: re-routes each open fragment
-  // and fragment counter to its owning shard by SipHash(id) % workers (the
-  // shard count may differ from the snapshotting run), and raises the global
+  // and fragment counter to its owning shard, ShardOf(id) (the shard count
+  // may differ from the snapshotting run), and raises the global
   // and per-shard watermarks to the snapshot watermark. MUST be called before
   // the first Feed*/Flush — the workers have not touched their closers yet,
   // and the first queue push publishes the restored state to them.
   void RestoreCheckpoint(PipelineCheckpoint&& checkpoint);
+
+  // --- Ownership (any thread) ---
+
+  // The shard that owns session `id`: its records are routed there, its open
+  // fragments live in that shard's closer, and Retire() frees its closed
+  // sessions there. SipHash-2-4(id) % workers, the exchange hash the timely
+  // engine's SessionHash() uses.
+  size_t ShardOf(std::string_view id) const;
+
+  // Queues `session` for destruction by the worker of ShardOf(session.id),
+  // which frees it at the top of its next batch. Never blocks beyond one short
+  // queue lock and never frees here, so it may run under another structure's
+  // lock (LiveNode installs it as the SessionStore's eviction sink). Finish()
+  // has every worker free its queue once all shards have emitted their last
+  // session; after Finish() the caller keeps `session` and destroys it.
+  void Retire(Session&& session);
 
   // --- Observability (any thread) ---
 
@@ -272,6 +299,11 @@ class LivePipeline {
   // popped so far.
   size_t expiry_candidates() const;
   uint64_t expiry_visited() const;
+  // Retire() accounting, summed across shards: sessions destroyed by their
+  // owner shard's worker, and sessions queued but not yet destroyed (the
+  // memory held between eviction and destruction).
+  uint64_t retired_sessions() const;
+  size_t retire_pending() const;
   // Min-across-shards processed watermark (0 until every shard has seen one).
   EventTime watermark() const;
   // Global ingest-side watermark (prefix max of event time).
@@ -293,7 +325,8 @@ class LivePipeline {
   // set (<prefix>records_emitted, <prefix>open_records, <prefix>shed_records,
   // <prefix>shed_fragments, <prefix>shed_lines — registered always, zero when
   // shedding is off), the expiry-index pair <prefix>expiry_candidates and
-  // <prefix>expiry_visited, and per shard k: <prefix>shard<k>_open_sessions,
+  // <prefix>expiry_visited, the Retire() pair <prefix>retired_sessions and
+  // <prefix>retire_pending, and per shard k: <prefix>shard<k>_open_sessions,
   // <prefix>shard<k>_records, <prefix>shard<k>_parse_failures,
   // <prefix>shard<k>_queue_depth, <prefix>shard<k>_shed_records,
   // <prefix>shard<k>_shed_lines, <prefix>shard<k>_stall_us.
@@ -354,6 +387,8 @@ class LivePipeline {
     std::atomic<size_t> expiry_candidates{0};
     std::atomic<uint64_t> expiry_visited{0};
     std::atomic<int64_t> stall_ns{0};      // Ingest-thread blocked-push time.
+    RetireQueue<Session> retire_queue;     // Drained by the worker only.
+    std::atomic<uint64_t> retired_sessions{0};
     std::vector<double> close_latencies_ms;  // Worker-owned until join.
     Batch pending;  // Ingest-thread-owned accumulation buffer.
     EventTime last_tick_watermark = -1;
@@ -366,12 +401,18 @@ class LivePipeline {
   void Route(Item item, size_t shard_index, const ArenaRef& arena);
   void SealAndPush(Shard& shard);
   void WorkerLoop(size_t shard_index);
+  // Worker thread: destroys the shard's Retire() queue.
+  static void DrainRetired(Shard& shard);
   // Ensures feed_arena_ exists and is under the rotation threshold.
   void RotateFeedArena();
 
   LivePipelineOptions options_;
   SessionSink sink_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  // Counted down by each worker after its end-of-stream batch: past it no
+  // shard emits, so no pipeline sink can Retire() anything, and each worker
+  // frees its last queue on its own thread.
+  std::latch workers_done_;
   EventTime ingest_watermark_ = 0;  // Ingest thread only.
   // Backing storage for FeedLine copies and mined rewrites; rotated so
   // drained batches can release old bytes. Ingest thread only.

@@ -35,6 +35,16 @@ LiveNode::~LiveNode() {
     server_->Stop();
     server_thread_.join();
   }
+  // The query server may hold the store past this node: finish the pipeline
+  // (after the checkpoint writer, as member order would) and detach its
+  // Retire sink before the pipeline goes away.
+  async_ckpt_.reset();
+  if (pipeline_ != nullptr) {
+    pipeline_->Finish();
+    if (cold_ == nullptr) {
+      store_->SetEvictionSink(nullptr);
+    }
+  }
 }
 
 void LiveNode::Log(const char* format, ...) const {
@@ -164,16 +174,27 @@ void LiveNode::StartPipeline(bool restored, CheckpointState&& state) {
           return;
         }
         if (on_close_) {
-          on_close_(s);
+          on_close_(s, pipeline_->ShardOf(s.id));
         }
         store_->Insert(std::move(s));
       });
+  if (cold_ == nullptr) {
+    // Victims go back to the shard that built them (the cold tier, when
+    // there is one, takes them instead). Installed before the restore, whose
+    // store import may already evict.
+    LivePipeline* pipe = pipeline_.get();
+    store_->SetEvictionSink(
+        [pipe](Session&& s) { pipe->Retire(std::move(s)); });
+  }
   if (restored) {
     // Must precede the first Feed/Flush: the restore publishes open
     // fragments and the snapshot watermark into the shard closers.
     RestoreLiveCheckpoint(std::move(state), pipeline_.get(), store_.get());
     if (on_close_) {
-      store_->ForEachSession(on_close_);
+      // No batch has run yet, so no shard's callback can overlap these.
+      store_->ForEachSession([this](const Session& s) {
+        on_close_(s, pipeline_->ShardOf(s.id));
+      });
     }
   }
   mining_pipeline_.store(pipeline_.get(), std::memory_order_release);

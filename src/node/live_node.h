@@ -3,8 +3,11 @@
 // bench/overload_study and the fault/crash conformance suites all run:
 //
 //   SocketIngestSource ─► LivePipeline (N shards) ─► SessionStore ─► QueryServer
-//       (PollBlock)           (FeedBlock)                 │
-//                                                         └─► ColdTier (spill)
+//       (PollBlock)           (FeedBlock)         ▲       │
+//                                                 │       ├─► ColdTier (spill)
+//                                                 └───────┘   or, without one,
+//                                               Retire: victims freed on the
+//                                               shard that built them
 //
 // Lifecycle, in this order:
 //
@@ -62,11 +65,13 @@ struct LiveNodeOptions {
 
 class LiveNode {
  public:
-  // Sees every session the node holds exactly once: restored ones during
-  // Start(), closed ones on the shard worker threads (concurrently — must be
-  // thread-safe), including those Shutdown()'s Finish force-closes. Replayed
-  // duplicates are not passed.
-  using CloseCallback = std::function<void(const Session&)>;
+  // Sees every session the node holds exactly once, with its owner shard
+  // (LivePipeline::ShardOf): restored ones during Start(), before any batch
+  // runs, and closed ones on that shard's worker thread, including those
+  // Shutdown()'s Finish force-closes. Calls for one shard never overlap, so
+  // per-shard state needs no lock; calls for different shards run
+  // concurrently. Replayed duplicates are not passed.
+  using CloseCallback = std::function<void(const Session&, size_t shard)>;
 
   // Banners (restore, final checkpoint, ...) go to `log`; null silences them.
   explicit LiveNode(LiveNodeOptions options, CloseCallback on_close = nullptr,

@@ -1,6 +1,7 @@
 // Unit tests for ts_common: SipHash-2-4 against the reference vectors, RNG
 // determinism and distribution sanity, statistics utilities, and FixedQueue.
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <set>
 #include <thread>
@@ -10,6 +11,7 @@
 
 #include "src/common/fixed_queue.h"
 #include "src/common/mem_probe.h"
+#include "src/common/retire_queue.h"
 #include "src/common/rng.h"
 #include "src/common/siphash.h"
 #include "src/common/stats.h"
@@ -153,6 +155,112 @@ TEST(OnlineStats, MomentsAndExtrema) {
   EXPECT_NEAR(s.stddev(), 2.138, 0.001);  // Sample stddev.
   EXPECT_EQ(s.min(), 2.0);
   EXPECT_EQ(s.max(), 9.0);
+}
+
+// Relative closeness for the moments a merge reproduces only up to rounding.
+void ExpectRelNear(double got, double want) {
+  EXPECT_NEAR(got, want, 1e-9 * std::max(1.0, std::fabs(want)));
+}
+
+TEST(OnlineStats, MergeMatchesOneStream) {
+  Rng rng(41);
+  std::vector<double> samples;
+  for (int i = 0; i < 10'000; ++i) {
+    samples.push_back(1e3 + rng.NextDouble() * 250.0 * (i % 7 + 1));
+  }
+  OnlineStats whole;
+  for (double x : samples) {
+    whole.Add(x);
+  }
+  // Uneven parts, one of them empty, merged in a different order than fed.
+  const std::vector<size_t> cuts = {0, 3, 3, 4'000, 9'999, samples.size()};
+  std::vector<OnlineStats> parts(cuts.size() - 1);
+  for (size_t p = 0; p + 1 < cuts.size(); ++p) {
+    for (size_t i = cuts[p]; i < cuts[p + 1]; ++i) {
+      parts[p].Add(samples[i]);
+    }
+  }
+  OnlineStats merged;
+  for (size_t p = parts.size(); p-- > 0;) {
+    merged.Merge(parts[p]);
+  }
+  EXPECT_EQ(merged.count(), whole.count());
+  EXPECT_EQ(merged.min(), whole.min());
+  EXPECT_EQ(merged.max(), whole.max());
+  ExpectRelNear(merged.mean(), whole.mean());
+  ExpectRelNear(merged.variance(), whole.variance());
+}
+
+TEST(OnlineStats, MergeWithEmptyIsIdentity) {
+  OnlineStats a;
+  for (double v : {3.0, -1.0, 8.5}) {
+    a.Add(v);
+  }
+  OnlineStats empty;
+  OnlineStats left = empty;
+  left.Merge(a);
+  a.Merge(empty);
+  for (const OnlineStats* s : {&left, &a}) {
+    EXPECT_EQ(s->count(), 3u);
+    EXPECT_EQ(s->min(), -1.0);
+    EXPECT_EQ(s->max(), 8.5);
+    ExpectRelNear(s->mean(), 3.5);
+    ExpectRelNear(s->variance(), 22.75);
+  }
+}
+
+// Counts live instances, so a test can see where each one is destroyed.
+struct Tracked {
+  static std::atomic<int> live;
+  int value = 0;
+  explicit Tracked(int v) : value(v) { ++live; }
+  Tracked(Tracked&& other) noexcept : value(other.value) { ++live; }
+  Tracked& operator=(Tracked&&) = default;
+  ~Tracked() { --live; }
+};
+std::atomic<int> Tracked::live{0};
+
+TEST(RetireQueue, OwnerDrainDestroysWhatOthersPushed) {
+  RetireQueue<Tracked> queue;
+  EXPECT_EQ(queue.Drain(), 0u);
+  std::vector<std::thread> pushers;
+  for (int t = 0; t < 4; ++t) {
+    pushers.emplace_back([&queue, t] {
+      for (int i = 0; i < 1000; ++i) {
+        Tracked v(t * 1000 + i);
+        EXPECT_TRUE(queue.Push(std::move(v)));
+      }
+    });
+  }
+  // The owner drains while the pushers run; nothing is lost or doubled.
+  size_t drained = 0;
+  while (drained < 4000) {
+    drained += queue.Drain();
+  }
+  for (auto& t : pushers) {
+    t.join();
+  }
+  EXPECT_EQ(drained, 4000u);
+  EXPECT_EQ(queue.pending(), 0u);
+  EXPECT_EQ(Tracked::live.load(), 0);
+}
+
+TEST(RetireQueue, CloseDestroysTheRestAndRefusesLaterPushes) {
+  RetireQueue<Tracked> queue;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(queue.Push(Tracked(i)));
+  }
+  EXPECT_EQ(queue.pending(), 3u);
+  EXPECT_EQ(Tracked::live.load(), 3);
+  queue.Close();
+  EXPECT_EQ(queue.pending(), 0u);
+  EXPECT_EQ(Tracked::live.load(), 0);
+  // Refused: the caller keeps its value, untouched.
+  Tracked late(7);
+  EXPECT_FALSE(queue.Push(std::move(late)));
+  EXPECT_EQ(late.value, 7);
+  EXPECT_EQ(Tracked::live.load(), 1);
+  EXPECT_EQ(queue.Drain(), 0u);
 }
 
 TEST(SampleSet, ExactQuantiles) {

@@ -60,7 +60,8 @@ RunResult RunOverFaultyTransport(
   options.ingest->fault_injector = &client_injector;
   options.pipeline.mine_templates = mine;
   LiveNode node(
-      std::move(options), [&closes](const Session& s) { closes.Add(s); },
+      std::move(options),
+      [&closes](const Session& s, size_t) { closes.Add(s); },
       /*log=*/nullptr);
   EXPECT_TRUE(node.Start());
   node.Run();

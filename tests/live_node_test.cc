@@ -8,12 +8,15 @@
 #include <cstdlib>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/analytics/report_accumulator.h"
 #include "src/ckpt/checkpointer.h"
 #include "src/common/siphash.h"
 #include "src/node/live_node.h"
@@ -76,7 +79,8 @@ NodeRun RunNode(const std::vector<std::string>& archive, uint64_t end,
   }
   CloseDigest closes;
   LiveNode node(
-      std::move(options), [&closes](const Session& s) { closes.Add(s); },
+      std::move(options),
+      [&closes](const Session& s, size_t) { closes.Add(s); },
       /*log=*/nullptr);
   EXPECT_TRUE(node.Start());
   upstream.Serve(archive, end);
@@ -276,7 +280,7 @@ TEST(LiveNodeRestore, RestoredFragmentClosesOnAWatermarkOnlyTick) {
   std::vector<Session> closes;
   LiveNode node(
       std::move(options),
-      [&](const Session& s) {
+      [&](const Session& s, size_t) {
         std::lock_guard<std::mutex> lock(mu);
         closes.push_back(s);
       },
@@ -407,6 +411,160 @@ TEST(LiveNodeFinalCheckpoint, AColdBarrierThatNeverDrainsIsReported) {
             std::string::npos)
       << text;
   EXPECT_NE(text.find("final checkpoint FAILED"), std::string::npos) << text;
+  EXPECT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
+}
+
+// What one shard's close callback saw. Written without a lock: the callback
+// contract is that calls for one shard never overlap.
+struct ShardCloses {
+  std::vector<std::pair<std::string, uint32_t>> sessions;
+  std::set<std::thread::id> threads;
+};
+
+// With no cold tier the store's victims go back to the shard that built
+// them: every eviction is freed by the worker of ShardOf(id), and nothing is
+// left queued after Shutdown.
+TEST(LiveNodeRetire, EvictedSessionsAreFreedOnTheirOwnerShard) {
+  const auto archive = MakeArchive(/*records_per_sec=*/2'000, /*seconds=*/2);
+  for (size_t workers : {2, 4}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    PrefixUpstream upstream;
+    LiveNodeOptions options = TestNodeOptions(upstream.port(), workers);
+    options.pipeline.inactivity_ns = 200 * kNanosPerMilli;
+    options.store.max_bytes = 16u << 10;  // Evicts while the stream flows.
+    std::vector<ShardCloses> closes(workers);
+    LiveNode node(
+        std::move(options),
+        [&closes](const Session& s, size_t shard) {
+          closes[shard].sessions.emplace_back(s.id, s.fragment_index);
+          closes[shard].threads.insert(std::this_thread::get_id());
+        },
+        /*log=*/nullptr);
+    ASSERT_TRUE(node.Start());
+    upstream.Serve(*archive, archive->size());
+    node.Run();
+    node.Shutdown();
+
+    const SessionStore::Stats stats = node.store()->stats();
+    ASSERT_GT(stats.evicted, 0u);
+    EXPECT_EQ(Gauge(node, "live_retired_sessions"),
+              static_cast<int64_t>(stats.evicted));
+    EXPECT_EQ(Gauge(node, "live_retire_pending"), 0);
+
+    std::set<std::pair<std::string, uint32_t>> held;
+    node.store()->ForEachSession(
+        [&held](const Session& s) { held.emplace(s.id, s.fragment_index); });
+    std::set<std::thread::id> all_threads;
+    for (size_t k = 0; k < workers; ++k) {
+      uint64_t evicted = 0;
+      for (const auto& [id, fragment] : closes[k].sessions) {
+        EXPECT_EQ(node.pipeline()->ShardOf(id), k) << id;
+        evicted += held.count({id, fragment}) == 0 ? 1 : 0;
+      }
+      // The victims shard k built are exactly the ones its worker freed.
+      EXPECT_EQ(node.pipeline()->shard(k).retired_sessions, evicted)
+          << "shard " << k;
+      // One shard, one worker thread, none shared with another shard.
+      EXPECT_EQ(closes[k].threads.size(), 1u) << "shard " << k;
+      all_threads.insert(closes[k].threads.begin(), closes[k].threads.end());
+    }
+    EXPECT_EQ(all_threads.size(), workers);
+  }
+}
+
+// Kill() with sessions still queued frees them all (CI's LSan job checks
+// that nothing leaks).
+TEST(LiveNodeRetire, KillFreesQueuedVictims) {
+  const auto archive = MakeArchive(/*records_per_sec=*/2'000, /*seconds=*/1);
+  PrefixUpstream upstream;
+  LiveNodeOptions options = TestNodeOptions(upstream.port(), /*workers=*/2);
+  options.pipeline.inactivity_ns = 200 * kNanosPerMilli;
+  options.store.max_bytes = 16u << 10;
+  LiveNode node(std::move(options), nullptr, /*log=*/nullptr);
+  ASSERT_TRUE(node.Start());
+  upstream.Serve(*archive, archive->size());
+  node.Run();
+  // Past end of stream no Flush tick reaches the workers, so these stay
+  // queued until the kill.
+  constexpr int kQueued = 64;
+  for (int i = 0; i < kQueued; ++i) {
+    Session s;
+    s.id = "queued" + std::to_string(i);
+    s.records.resize(4);
+    node.pipeline()->Retire(std::move(s));
+  }
+  node.Kill();
+  EXPECT_EQ(Gauge(node, "live_retire_pending"), 0);
+  EXPECT_EQ(Gauge(node, "live_retired_sessions"),
+            static_cast<int64_t>(node.store()->stats().evicted + kQueued));
+}
+
+// The report a node's close callback builds, one partial per shard.
+std::string ReportText(LiveNode& node, const ReportAccumulator& report) {
+  return report.Format(node.ingest_records(), node.ingest_parse_failures(),
+                       /*top=*/10);
+}
+
+// Restored sessions reach the callback during Start(), on the calling
+// thread, under their owner shard; the report built across the restart is
+// byte-identical to an uninterrupted run's.
+TEST(LiveNodeRetire, RestoredSessionsAreReportedUnderTheirOwnerShard) {
+  const auto archive = MakeArchive(/*records_per_sec=*/2'000, /*seconds=*/2);
+  const uint64_t total = archive->size();
+  std::string uninterrupted;
+  {
+    PrefixUpstream upstream;
+    LiveNodeOptions options = TestNodeOptions(upstream.port(), /*workers=*/1);
+    options.pipeline.inactivity_ns = 200 * kNanosPerMilli;
+    ReportAccumulator report(1);
+    LiveNode node(
+        std::move(options),
+        [&report](const Session& s, size_t shard) { report.Add(shard, s); },
+        /*log=*/nullptr);
+    ASSERT_TRUE(node.Start());
+    upstream.Serve(*archive, total);
+    node.Run();
+    node.Shutdown();
+    uninterrupted = ReportText(node, report);
+  }
+
+  const std::string dir = TempDir("ts_node_restore_report");
+  RunNode(*archive, total / 2, dir);
+  const size_t stored = LatestSnapshot(dir).store_sessions.size();
+  ASSERT_GT(stored, 0u);
+
+  constexpr size_t kWorkers = 2;
+  PrefixUpstream upstream;
+  LiveNodeOptions options = TestNodeOptions(upstream.port(), kWorkers);
+  options.pipeline.inactivity_ns = 200 * kNanosPerMilli;
+  options.checkpoint.emplace();
+  options.checkpoint->dir = dir;
+  options.checkpoint->interval_ms = 0;
+  ReportAccumulator report(kWorkers);
+  bool starting = true;
+  size_t during_start = 0;
+  const std::thread::id main_thread = std::this_thread::get_id();
+  LiveNode* self = nullptr;
+  LiveNode node(
+      std::move(options),
+      [&](const Session& s, size_t shard) {
+        if (starting) {
+          ++during_start;
+          EXPECT_EQ(std::this_thread::get_id(), main_thread);
+          EXPECT_EQ(self->pipeline()->ShardOf(s.id), shard) << s.id;
+        }
+        report.Add(shard, s);
+      },
+      /*log=*/nullptr);
+  self = &node;
+  ASSERT_TRUE(node.Start());
+  // Shard workers call back only once a batch runs, after Serve below.
+  starting = false;
+  EXPECT_EQ(during_start, stored);
+  upstream.Serve(*archive, total);
+  node.Run();
+  node.Shutdown();
+  EXPECT_EQ(ReportText(node, report), uninterrupted);
   EXPECT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
 }
 

@@ -362,7 +362,8 @@ inline CrashRun RunCrashSchedule(const std::vector<std::string>& archive,
     // counted by the node's dedupe guard instead.
     CloseDigest closes;
     LiveNode node(
-        std::move(options), [&closes](const Session& s) { closes.Add(s); },
+        std::move(options),
+        [&closes](const Session& s, size_t) { closes.Add(s); },
         /*log=*/nullptr);
     EXPECT_TRUE(node.Start());
     out.restores += static_cast<uint64_t>(Gauge(node, "ckpt_restores"));

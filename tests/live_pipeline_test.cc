@@ -389,5 +389,72 @@ TEST(LivePipelineTest, ShedMetricsRegisteredAndZeroWhenOff) {
   EXPECT_EQ(get("live_open_records"), 0);
 }
 
+// ShardOf is the routing of every feed path: each record lands on the shard
+// ShardOf names for its session id.
+TEST(LivePipelineRetire, ShardOfIsTheRoutingOfEveryFeedPath) {
+  LivePipelineOptions options;
+  options.workers = 3;
+  LivePipeline pipeline(options, [](Session&&) {});
+  std::vector<uint64_t> expected(options.workers);
+  for (int i = 0; i < 60; ++i) {
+    const std::string id = "ID" + std::to_string(i);
+    ++expected[pipeline.ShardOf(id)];
+    if (i % 2 == 0) {
+      pipeline.FeedRecord(Rec(id, kSec + i));
+    } else {
+      pipeline.FeedLine(ToWireFormat(Rec(id, kSec + i)));
+    }
+  }
+  pipeline.Finish();
+  for (size_t k = 0; k < options.workers; ++k) {
+    EXPECT_EQ(pipeline.shard(k).records, expected[k]) << "shard " << k;
+  }
+}
+
+TEST(LivePipelineRetire, QueuedSessionsAreFreedByTheirOwnerAtFinish) {
+  MetricsRegistry registry;
+  LivePipelineOptions options;
+  options.workers = 3;
+  LivePipeline pipeline(options, [](Session&&) {});
+  pipeline.RegisterMetrics(&registry, "live_");
+  const auto gauge = [&registry](const std::string& name) {
+    for (const auto& [gauge, value] : registry.Snapshot()) {
+      if (gauge == name) {
+        return value;
+      }
+    }
+    return int64_t{-1};
+  };
+  std::vector<uint64_t> owned(options.workers);
+  for (int i = 0; i < 100; ++i) {
+    Session s;
+    s.id = "R" + std::to_string(i);
+    s.records.push_back(Rec(s.id, kSec));
+    ++owned[pipeline.ShardOf(s.id)];
+    pipeline.Retire(std::move(s));
+  }
+  // No batch has run, so no worker has drained: all of it is still queued.
+  EXPECT_EQ(pipeline.retire_pending(), 100u);
+  EXPECT_EQ(gauge("live_retire_pending"), 100);
+  EXPECT_EQ(gauge("live_retired_sessions"), 0);
+
+  pipeline.Finish();
+  EXPECT_EQ(gauge("live_retire_pending"), 0);
+  EXPECT_EQ(gauge("live_retired_sessions"), 100);
+  for (size_t k = 0; k < options.workers; ++k) {
+    // Each worker freed exactly the sessions it owns.
+    EXPECT_EQ(pipeline.shard(k).retired_sessions, owned[k]) << "shard " << k;
+  }
+
+  // After Finish nothing can drain the queue: the caller keeps the session.
+  Session late;
+  late.id = "late";
+  late.records.push_back(Rec(late.id, kSec));
+  pipeline.Retire(std::move(late));
+  EXPECT_EQ(late.records.size(), 1u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(pipeline.retired_sessions(), 100u);
+  EXPECT_EQ(pipeline.retire_pending(), 0u);
+}
+
 }  // namespace
 }  // namespace ts

@@ -76,23 +76,19 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
-#include "src/analytics/dependency_graph.h"
+#include "src/analytics/report_accumulator.h"
 #include "src/ckpt/snapshot_io.h"
 #include "src/fault/fault_plan.h"
 #include "src/fault/fs_fault.h"
 #include "src/fault/scripted_disk_injector.h"
-#include "src/core/trace_tree.h"
 #include "src/log/wire_format.h"
 #include "src/net/net_util.h"
 #include "src/node/live_node.h"
@@ -148,79 +144,6 @@ constexpr ts::EventTime kDefaultLiveInactivityNs = 5 * ts::kNanosPerSecond;
 
 volatile std::sig_atomic_t g_stop = 0;
 void OnSignal(int) { g_stop = 1; }
-
-// Aggregates the end-of-run report incrementally, one closed session at a
-// time, so the live path never retains closed sessions (the old loop kept
-// every one in a vector — unbounded memory on a long-running stream).
-// Thread-safe: live-path shard workers call Add concurrently.
-class ReportAccumulator {
- public:
-  explicit ReportAccumulator(bool dump_trees) : dump_trees_(dump_trees) {}
-
-  void Add(const ts::Session& s) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++sessions_;
-    for (const auto& tree : ts::TraceTree::FromSession(s)) {
-      ++trees_;
-      spans_ += tree.num_spans();
-      inferred_ += tree.num_inferred();
-      ++signatures_[tree.SignatureKey()];
-      deps_.AddTree(tree);
-      if (dump_trees_) {
-        std::printf("%s root=%s spans=%zu records=%u duration=%.2fms sig=%s\n",
-                    s.id.c_str(), tree.root().id.ToString().c_str(),
-                    tree.num_spans(), tree.total_records(),
-                    static_cast<double>(tree.Duration()) / 1e6,
-                    tree.SignatureKey().c_str());
-      }
-    }
-  }
-
-  void Print(size_t record_count, uint64_t parse_failures, size_t top) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::printf("records:        %zu (%llu unparseable lines skipped)\n",
-                record_count, static_cast<unsigned long long>(parse_failures));
-    std::printf("sessions:       %llu\n",
-                static_cast<unsigned long long>(sessions_));
-    std::printf("trace trees:    %llu\n",
-                static_cast<unsigned long long>(trees_));
-    std::printf("spans:          %llu (%llu inferred from descendants)\n",
-                static_cast<unsigned long long>(spans_),
-                static_cast<unsigned long long>(inferred_));
-    std::printf("service edges:  %zu (%llu calls)\n", deps_.num_edges(),
-                static_cast<unsigned long long>(deps_.total_calls()));
-
-    if (top > 0 && !signatures_.empty()) {
-      std::vector<std::pair<uint64_t, std::string>> ranked;
-      for (const auto& [sig, count] : signatures_) {
-        ranked.emplace_back(count, sig);
-      }
-      std::sort(ranked.rbegin(), ranked.rend());
-      std::printf("\ntop tree structures:\n");
-      for (size_t i = 0; i < std::min(top, ranked.size()); ++i) {
-        std::printf("  %8llu x %s\n",
-                    static_cast<unsigned long long>(ranked[i].first),
-                    ranked[i].second.c_str());
-      }
-      std::printf("\nhottest service pairs:\n");
-      for (const auto& [edge, calls] : deps_.HeaviestEdges(top)) {
-        std::printf("  %8llu x svc-%u -> svc-%u\n",
-                    static_cast<unsigned long long>(calls), edge.first,
-                    edge.second);
-      }
-    }
-  }
-
- private:
-  mutable std::mutex mu_;
-  const bool dump_trees_;
-  uint64_t sessions_ = 0;
-  uint64_t trees_ = 0;
-  uint64_t spans_ = 0;
-  uint64_t inferred_ = 0;
-  std::map<std::string, uint64_t> signatures_;
-  ts::DependencyGraph deps_;
-};
 
 }  // namespace
 
@@ -340,8 +263,10 @@ int main(int argc, char** argv) {
                  "--checkpoint-dir needs --serve (live path); ignoring\n");
   }
 
-  // Outlives the node: shard workers report closed sessions into it.
-  ReportAccumulator report(HasFlag(argc, argv, "--trees"));
+  // Outlives the node: each shard worker reports the sessions it closes into
+  // its own partial, lock-free; the offline path uses partial 0.
+  ReportAccumulator report(pipe_options.workers,
+                           HasFlag(argc, argv, "--trees") ? stdout : nullptr);
   // --serve: the node stands up the store and the query server (and, with
   // --connect, restores the checkpoint) before ingesting.
   std::unique_ptr<LiveNode> node;
@@ -358,7 +283,8 @@ int main(int argc, char** argv) {
       }
     }
     node = std::make_unique<LiveNode>(
-        std::move(node_options), [&report](const Session& s) { report.Add(s); });
+        std::move(node_options),
+        [&report](const Session& s, size_t shard) { report.Add(shard, s); });
     if (disk_faults != nullptr) {
       disk_faults->RegisterMetrics(node->metrics());
     }
@@ -442,14 +368,14 @@ int main(int argc, char** argv) {
     record_count = records.size();
     auto sessions = OfflineSessionizer::Sessionize(std::move(records), options);
     for (auto& s : sessions) {
-      report.Add(s);
+      report.Add(0, s);
       if (node != nullptr) {
         node->store()->Insert(std::move(s));
       }
     }
   }
 
-  report.Print(record_count, parse_failures, top);
+  std::fputs(report.Format(record_count, parse_failures, top).c_str(), stdout);
 
   if (node != nullptr) {
     std::fflush(stdout);

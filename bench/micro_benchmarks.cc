@@ -1,6 +1,6 @@
 // Engine micro-benchmarks (google-benchmark): the per-record costs that
-// compose into TS's epoch latency — hashing, wire parsing, re-ordering, tree
-// construction, signatures, exchange-hub transfers, live-path expiry, and
+// compose into TS's epoch latency — hashing, wire parsing, a shard's
+// scan-and-materialize step, re-ordering, tree construction, signatures, exchange-hub transfers, live-path expiry, and
 // the store's eviction churn.
 #include <benchmark/benchmark.h>
 
@@ -18,6 +18,7 @@
 #include "src/core/live_closer.h"
 #include "src/core/reorder_buffer.h"
 #include "src/core/trace_tree.h"
+#include "src/log/record_view.h"
 #include "src/log/wire_format.h"
 #include "src/net/frame_reader.h"
 #include "src/net/log_server.h"
@@ -272,6 +273,28 @@ void BM_TraceTreeBuild(benchmark::State& state) {
       static_cast<double>(big->records.size());
 }
 BENCHMARK(BM_TraceTreeBuild);
+
+// A shard worker's per-record step on Table 1-shaped lines (23-byte session
+// ids, ~220-byte payloads): SWAR separator scan, then materialization into a
+// fresh owning LogRecord through warm per-connection interners.
+void BM_MaterializeRecord(benchmark::State& state) {
+  const auto records = SampleRecords(1024);
+  std::vector<std::string> lines;
+  for (const auto& r : records) {
+    lines.push_back(ToWireFormat(r));
+  }
+  InternerPair interners;
+  size_t i = 0;
+  for (auto _ : state) {
+    LogRecord record;
+    const bool ok =
+        MaterializeRecord(ScanRecord(lines[i++ & 1023]), &interners, &record);
+    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(record);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MaterializeRecord);
 
 void BM_TreeSignature(benchmark::State& state) {
   const auto records = SampleRecords(20'000);

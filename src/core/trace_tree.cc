@@ -1,78 +1,115 @@
 #include "src/core/trace_tree.h"
 
 #include <algorithm>
-#include <deque>
-#include <map>
+#include <charconv>
 
 #include "src/common/status.h"
 
 namespace ts {
+namespace {
+
+// Number of leading components `a` and `b` share.
+size_t SharedPrefix(const TxnId& a, const TxnId& b) {
+  const std::span<const uint32_t> x = a.path();
+  const std::span<const uint32_t> y = b.path();
+  return static_cast<size_t>(
+      std::mismatch(x.begin(), x.end(), y.begin(), y.end()).first - x.begin());
+}
+
+}  // namespace
 
 std::vector<TraceTree> TraceTree::FromSession(const Session& session) {
-  // Group records by root transaction index, preserving root order.
-  std::map<uint32_t, std::vector<const LogRecord*>> by_root;
+  // Order the records by transaction id, which groups them by root index.
+  // They share one vector, so breaking ties by address keeps record order.
+  std::vector<const LogRecord*> sorted;
+  sorted.reserve(session.records.size());
   for (const auto& r : session.records) {
     if (r.txn_id.empty()) {
       continue;  // Malformed correlator; cannot be placed in any tree.
     }
-    by_root[r.txn_id.root()].push_back(&r);
+    sorted.push_back(&r);
   }
+  std::sort(sorted.begin(), sorted.end(),
+            [](const LogRecord* a, const LogRecord* b) {
+              const auto order = a->txn_id <=> b->txn_id;
+              return order != 0 ? order < 0 : a < b;
+            });
   std::vector<TraceTree> trees;
-  trees.reserve(by_root.size());
-  for (auto& [root, records] : by_root) {
-    trees.push_back(FromRecords(session.id, records));
+  const std::span<const LogRecord* const> all(sorted);
+  for (size_t begin = 0; begin < all.size();) {
+    const uint32_t root = all[begin]->txn_id.root();
+    size_t end = begin + 1;
+    while (end < all.size() && all[end]->txn_id.root() == root) {
+      ++end;
+    }
+    trees.push_back(FromSortedRecords(session.id, all.subspan(begin, end - begin)));
+    begin = end;
   }
   return trees;
 }
 
 TraceTree TraceTree::FromRecords(const std::string& session_id,
-                                 const std::vector<const LogRecord*>& records) {
-  TS_CHECK(!records.empty());
+                                 std::span<const LogRecord* const> records) {
+  std::vector<const LogRecord*> sorted(records.begin(), records.end());
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const LogRecord* a, const LogRecord* b) {
+                     return a->txn_id < b->txn_id;
+                   });
+  return FromSortedRecords(session_id, sorted);
+}
+
+TraceTree TraceTree::FromSortedRecords(const std::string& session_id,
+                                       std::span<const LogRecord* const> sorted) {
+  TS_CHECK(!sorted.empty());
   TraceTree tree;
   tree.session_id_ = session_id;
 
-  // Assign node slots: ordered map over TxnId gives deterministic layout and
-  // implicitly sorts siblings by index (lexicographic path order).
-  std::map<TxnId, int> index;
-  // The root must exist even if only deep descendants were logged (§2.3:
-  // "transaction ID of 2-10 implies there is a root transaction 2").
-  const TxnId root_id = records.front()->txn_id.Root();
-  index.emplace(root_id, -1);
-  for (const auto* r : records) {
-    TS_CHECK(r->txn_id.root() == root_id.root());
-    index.emplace(r->txn_id, -1);
-    // Materialize the ancestor chain: every observed transaction implies its
-    // parents' existence.
-    TxnId cursor = r->txn_id;
-    while (cursor.depth() > 1) {
-      cursor = cursor.Parent();
-      index.emplace(cursor, -1);
+  // Nodes are laid out in id order, which puts the root first, every node
+  // after its ancestors, and siblings in index order. Every id implies its
+  // ancestors (§2.3: "transaction ID of 2-10 implies there is a root
+  // transaction 2"). Those the previous record's id did not already imply
+  // are the prefixes longer than the prefix the two share; they sort between
+  // the two ids, so emitting them just before the id keeps the layout sorted.
+  // A record whose id equals the previous one (a span's START, ANNOT and END)
+  // adds no node. Count first so the node vector is allocated once.
+  const uint32_t root = sorted.front()->txn_id.root();
+  size_t num_nodes = 0;
+  const TxnId* prev = nullptr;
+  for (const auto* r : sorted) {
+    TS_CHECK(r->txn_id.root() == root);
+    num_nodes += r->txn_id.depth() - (prev ? SharedPrefix(*prev, r->txn_id) : 0);
+    prev = &r->txn_id;
+  }
+  tree.nodes_.reserve(num_nodes);
+  auto add_node = [&tree](TxnId id) {
+    const int index = static_cast<int>(tree.nodes_.size());
+    // In this pre-order layout the parent is the nearest ancestor of the
+    // previous node one level up.
+    int parent = index - 1;
+    while (parent >= 0 && tree.nodes_[parent].id.depth() >= id.depth()) {
+      parent = tree.nodes_[parent].parent;
     }
-  }
+    TraceNode& node = tree.nodes_.emplace_back();
+    node.id = std::move(id);
+    node.inferred = true;
+    node.parent = parent;
+  };
 
-  tree.nodes_.resize(index.size());
-  int next = 0;
-  for (auto& [id, slot] : index) {
-    slot = next;
-    tree.nodes_[next].id = id;
-    tree.nodes_[next].inferred = true;
-    ++next;
-  }
+  // Fold in the records: ties are in record order, so each node takes its
+  // service and host from its first record.
+  prev = nullptr;
+  for (const auto* r : sorted) {
+    const std::span<const uint32_t> path = r->txn_id.path();
+    const size_t shared = prev ? SharedPrefix(*prev, r->txn_id) : 0;
+    for (size_t len = shared + 1; len < path.size(); ++len) {
+      add_node(TxnId(path.first(len)));
+    }
+    if (shared < path.size()) {
+      add_node(r->txn_id);
+    }
+    prev = &r->txn_id;
 
-  // Link parents/children. Lexicographic order put the root first.
-  TS_CHECK(tree.nodes_.front().id == root_id);
-  for (size_t i = 1; i < tree.nodes_.size(); ++i) {
-    const int parent = index.at(tree.nodes_[i].id.Parent());
-    tree.nodes_[i].parent = parent;
-    tree.nodes_[parent].children.push_back(static_cast<int>(i));
-  }
-  // Map order sorts children of one parent by sibling index already; assert in
-  // debug-minded spirit but avoid O(n log n) re-sorts.
-
-  // Fold in the observed records.
-  bool first = true;
-  for (const auto* r : records) {
-    TraceNode& node = tree.nodes_[index.at(r->txn_id)];
+    TraceNode& node = tree.nodes_.back();
     if (node.inferred) {
       node.inferred = false;
       node.service = r->service;
@@ -84,13 +121,26 @@ TraceTree TraceTree::FromRecords(const std::string& session_id,
     }
     ++node.num_records;
     ++tree.total_records_;
-    if (first) {
+    if (tree.total_records_ == 1) {
       tree.min_time_ = tree.max_time_ = r->time;
-      first = false;
     } else {
       tree.min_time_ = std::min(tree.min_time_, r->time);
       tree.max_time_ = std::max(tree.max_time_, r->time);
     }
+  }
+  TS_CHECK(tree.nodes_.size() == num_nodes && tree.nodes_.front().id.IsRoot());
+
+  // Link children, each list allocated once at its exact size; ascending
+  // node order sorts them by sibling index.
+  std::vector<uint32_t> num_children(num_nodes, 0);
+  for (size_t i = 1; i < num_nodes; ++i) {
+    ++num_children[tree.nodes_[i].parent];
+  }
+  for (size_t i = 0; i < num_nodes; ++i) {
+    tree.nodes_[i].children.reserve(num_children[i]);
+  }
+  for (size_t i = 1; i < num_nodes; ++i) {
+    tree.nodes_[tree.nodes_[i].parent].children.push_back(static_cast<int>(i));
   }
   return tree;
 }
@@ -105,44 +155,52 @@ size_t TraceTree::num_inferred() const {
   return n;
 }
 
+std::vector<int> TraceTree::BfsOrder() const {
+  std::vector<int> order;
+  order.reserve(nodes_.size());
+  order.push_back(0);
+  for (size_t head = 0; head < order.size(); ++head) {
+    const auto& children = nodes_[order[head]].children;
+    order.insert(order.end(), children.begin(), children.end());
+  }
+  return order;
+}
+
 std::vector<uint32_t> TraceTree::Signature() const {
   std::vector<uint32_t> sig;
   sig.reserve(nodes_.size());
-  std::deque<int> queue = {0};
-  while (!queue.empty()) {
-    const int n = queue.front();
-    queue.pop_front();
+  for (int n : BfsOrder()) {
     sig.push_back(static_cast<uint32_t>(nodes_[n].children.size()));
-    for (int c : nodes_[n].children) {
-      queue.push_back(c);
-    }
   }
   return sig;
 }
 
 std::string TraceTree::SignatureKey() const {
   std::string key;
-  for (uint32_t d : Signature()) {
+  key.reserve(2 * nodes_.size());  // One digit and a '.' per node, usually.
+  char buf[12];                     // u32 max is 10 digits.
+  for (int n : BfsOrder()) {
     if (!key.empty()) {
       key.push_back('.');
     }
-    key += std::to_string(d);
+    auto [ptr, ec] = std::to_chars(
+        buf, buf + sizeof(buf), static_cast<uint32_t>(nodes_[n].children.size()));
+    key.append(buf, static_cast<size_t>(ptr - buf));
   }
   return key;
 }
 
 std::vector<std::pair<uint32_t, uint32_t>> TraceTree::ServiceCallPairs() const {
   std::vector<std::pair<uint32_t, uint32_t>> pairs;
-  std::deque<int> queue = {0};
-  while (!queue.empty()) {
-    const int n = queue.front();
-    queue.pop_front();
-    for (int c : nodes_[n].children) {
-      if (nodes_[n].service != kUnknownService &&
-          nodes_[c].service != kUnknownService) {
-        pairs.emplace_back(nodes_[n].service, nodes_[c].service);
+  for (int n : BfsOrder()) {
+    const TraceNode& parent = nodes_[n];
+    if (parent.service == kUnknownService) {
+      continue;
+    }
+    for (int c : parent.children) {
+      if (nodes_[c].service != kUnknownService) {
+        pairs.emplace_back(parent.service, nodes_[c].service);
       }
-      queue.push_back(c);
     }
   }
   return pairs;

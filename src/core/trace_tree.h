@@ -9,6 +9,7 @@
 #define SRC_CORE_TRACE_TREE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,9 +41,10 @@ class TraceTree {
   // per root span, ordered by root index.
   static std::vector<TraceTree> FromSession(const Session& session);
 
-  // Builds a single tree from records sharing one root transaction index.
+  // Builds a single tree from records sharing one root transaction index, in
+  // any order; a node's service and host come from its first record.
   static TraceTree FromRecords(const std::string& session_id,
-                               const std::vector<const LogRecord*>& records);
+                               std::span<const LogRecord* const> records);
 
   const std::vector<TraceNode>& nodes() const { return nodes_; }
   const TraceNode& root() const { return nodes_.front(); }
@@ -78,6 +80,17 @@ class TraceTree {
   size_t ImpliedMissingChildren() const;
 
  private:
+  // Lets the differential test wrap reference-built nodes in a TraceTree.
+  friend struct TraceTreeTestPeer;
+
+  // Builds one tree from records sharing one root index, sorted by id with
+  // ties in record order.
+  static TraceTree FromSortedRecords(const std::string& session_id,
+                                     std::span<const LogRecord* const> sorted);
+
+  // Node indices in breadth-first order from the root.
+  std::vector<int> BfsOrder() const;
+
   std::string session_id_;
   std::vector<TraceNode> nodes_;  // nodes_[0] is the root.
   uint32_t total_records_ = 0;

@@ -32,10 +32,13 @@ struct LogRecord {
   EventKind kind = EventKind::kAnnotation;
   std::string payload;      // Application-specific fields, opaque to TS.
 
-  // Approximate in-memory footprint, used by buffer accounting (Figure 8).
+  // Approximate in-memory footprint, used by buffer accounting (Figure 8):
+  // the struct plus the heap bytes it owns. The strings count their
+  // capacity; the id counts its heap array, which is zero bytes for an id
+  // stored inline (TxnId::kInlineCapacity components or fewer).
   size_t MemoryFootprint() const {
     return sizeof(LogRecord) + session_id.capacity() + payload.capacity() +
-           txn_id.path().capacity() * sizeof(uint32_t);
+           txn_id.HeapBytes();
   }
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <span>
 
 #include "src/common/status.h"
 
@@ -409,12 +410,14 @@ EventTime TraceGenerator::GenerateRootSpan(const std::string& session_id,
   // Transaction paths per node.
   std::vector<TxnId> txn(n);
   {
-    std::vector<uint32_t> path = {root_index};
-    txn[0] = TxnId(path);
+    const uint32_t root_path[] = {root_index};
+    txn[0] = TxnId(root_path);
+    std::vector<uint32_t> p;
     for (size_t i = 1; i < n; ++i) {
-      std::vector<uint32_t> p = txn[t.parent[i]].path();
+      const std::span<const uint32_t> parent = txn[t.parent[i]].path();
+      p.assign(parent.begin(), parent.end());
       p.push_back(t.sibling_index[i]);
-      txn[i] = TxnId(std::move(p));
+      txn[i] = TxnId(p);
     }
   }
 

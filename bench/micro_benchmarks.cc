@@ -1,9 +1,10 @@
 // Engine micro-benchmarks (google-benchmark): the per-record costs that
 // compose into TS's epoch latency — hashing, wire parsing, a shard's
 // scan-and-materialize step, re-ordering, tree construction, signatures, exchange-hub transfers, live-path expiry, and
-// the store's eviction churn.
+// the store's eviction churn and its inserts under a live subscription.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <latch>
 #include <memory>
 #include <string>
@@ -24,6 +25,8 @@
 #include "src/net/log_server.h"
 #include "src/net/socket_ingest.h"
 #include "src/offline/offline_sessionizer.h"
+#include "src/query/query_client.h"
+#include "src/query/query_server.h"
 #include "src/timely/runtime.h"
 #include "src/workload/generator.h"
 
@@ -250,6 +253,76 @@ BENCHMARK(BM_StoreEvictChurn)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// One thread inserts 8-record sessions into a SessionStore observed by a
+// running QueryServer with one subscriber: Arg 0 subscribes with prefix=lM,
+// which takes one session in 16 (perfbench's paced_close probes), Arg 1
+// subscribes unfiltered. The filter runs on the inserting thread before the
+// store lock, and only a taken session is serialized, so the filtered arm's
+// inserts should cost little more than an unobserved store's.
+// `encoded_per_insert` reads 1/16 and 1.
+void BM_StoreInsertSubscribed(benchmark::State& state) {
+  constexpr int kRecords = 8;
+  const bool unfiltered = state.range(0) != 0;
+  SessionStore::Options options;
+  options.max_bytes = 8u << 20;
+  auto store = std::make_shared<SessionStore>(options);
+  QueryServer server(QueryServerOptions{}, store);
+  if (!server.Start()) {
+    state.SkipWithError("query server failed to start");
+    return;
+  }
+  std::thread loop([&server] { server.Run(); });
+  QueryClientOptions client_options;
+  client_options.port = server.port();
+  QueryClient client(client_options);
+  if (!client.Connect() ||
+      !client.SubscribeFiltered(unfiltered ? "" : "prefix=lM")) {
+    server.Stop();
+    loop.join();
+    state.SkipWithError("subscribe failed");
+    return;
+  }
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {  // Keeps the subscriber drained.
+    Session s;
+    uint64_t dropped = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      (void)client.Next(&s, &dropped, /*timeout_ms=*/20);
+    }
+  });
+  uint64_t n = 0;
+  const auto build = [&n] {
+    Session s;
+    s.id = (n % 16 == 0 ? "lM" : "l") + std::to_string(n);
+    s.records.resize(kRecords);
+    for (int i = 0; i < kRecords; ++i) {
+      LogRecord& r = s.records[static_cast<size_t>(i)];
+      r.time = static_cast<EventTime>(n * kRecords + static_cast<uint64_t>(i));
+      r.session_id = s.id;
+      r.txn_id = *TxnId::Parse("1-2-3");
+      r.service = static_cast<uint32_t>(i % 4);
+      r.payload = "payload of record " + std::to_string(i);
+    }
+    ++n;
+    return s;
+  };
+  const uint64_t encoded_before = server.counters().sessions_encoded;
+  for (auto _ : state) {
+    store->Insert(build());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["encoded_per_insert"] =
+      static_cast<double>(server.counters().sessions_encoded -
+                          encoded_before) /
+      static_cast<double>(state.iterations());
+  stop.store(true);
+  reader.join();
+  client.Close();
+  server.Stop();
+  loop.join();
+}
+BENCHMARK(BM_StoreInsertSubscribed)->ArgName("unfiltered")->Arg(0)->Arg(1);
 
 void BM_TraceTreeBuild(benchmark::State& state) {
   const auto records = SampleRecords(20'000);

@@ -1,17 +1,17 @@
 #include "src/analytics/session_store.h"
 
 #include <algorithm>
+#include <thread>
 
 #include "src/common/status.h"
 
 namespace ts {
 
-SessionStore::EntryList::iterator SessionStore::InsertLocked(Session session) {
+SessionStore::Entry SessionStore::MakeEntry(Session session) {
   Entry entry;
   entry.bytes = session.MemoryFootprint();
   entry.min_time = session.MinTime();
   entry.max_time = session.MaxTime();
-  entry.seq = next_seq_++;
   entry.services.reserve(session.records.size());
   for (const auto& r : session.records) {
     entry.services.push_back(r.service);
@@ -21,7 +21,11 @@ SessionStore::EntryList::iterator SessionStore::InsertLocked(Session session) {
       std::unique(entry.services.begin(), entry.services.end()),
       entry.services.end());
   entry.session = std::move(session);
+  return entry;
+}
 
+void SessionStore::InsertLocked(Entry entry) {
+  entry.seq = next_seq_++;
   entries_.push_back(std::move(entry));
   auto it = std::prev(entries_.end());
   by_id_[{it->session.id, it->session.fragment_index}] = it;
@@ -33,23 +37,49 @@ SessionStore::EntryList::iterator SessionStore::InsertLocked(Session session) {
   stats_.bytes += it->bytes;
   ++stats_.sessions;
   ++stats_.inserted;
-  return it;
 }
 
 void SessionStore::Insert(Session session) {
+  Entry entry = MakeEntry(std::move(session));
+  // Observers do their per-insert work (the query server filters and
+  // serializes) here, before mu_, while the session is still this thread's.
+  struct Handoff {
+    InsertObserver* observer;
+    std::unique_ptr<InsertObserver::Pending> pending;
+    bool publish = false;
+  };
+  std::vector<Handoff> handoffs;  // Allocates only when an observer bites.
+  const bool observing = observers_.load(std::memory_order_acquire) != nullptr;
+  const uint32_t epoch = observing ? EnterObserverRead() : 0;
+  if (observing) {
+    if (const ObserverList* list = observers_.load()) {
+      for (InsertObserver* observer : *list) {
+        if (auto pending = observer->Prepare(entry.session, entry.services)) {
+          handoffs.push_back({observer, std::move(pending)});
+        }
+      }
+    }
+  }
   EntryList victims;  // Destroyed after mu_ is released.
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = InsertLocked(std::move(session));
+    InsertLocked(std::move(entry));
     // Victims are handed to the sink under mu_, so removal from the hot
     // window and arrival in the next tier are one atomic step — a concurrent
     // query always finds the session in exactly one tier, and sink calls
     // across the N inserting shard workers are serialized in eviction order.
     EvictIfNeeded(&victims);
-    // `it` survives eviction: EvictIfNeeded never removes the newest entry.
-    for (const auto& [token, observer] : observers_) {
-      observer(it->session);
+    for (auto& handoff : handoffs) {
+      handoff.publish = handoff.observer->Commit(std::move(handoff.pending));
     }
+  }
+  for (const auto& handoff : handoffs) {
+    if (handoff.publish) {
+      handoff.observer->Published();
+    }
+  }
+  if (observing) {
+    observer_readers_[epoch & 1].fetch_sub(1);
   }
   // Outside mu_: blocking backpressure (and anything that needs to query the
   // store) lives in the barrier, not the sink.
@@ -59,7 +89,12 @@ void SessionStore::Insert(Session session) {
 }
 
 void SessionStore::Unindex(EntryList::iterator it) {
-  by_id_.erase({it->session.id, it->session.fragment_index});
+  // A later insert of the same (id, fragment) took over the key; the victim
+  // only owns it if the mapping still points here.
+  const auto by_id = by_id_.find({it->session.id, it->session.fragment_index});
+  if (by_id != by_id_.end() && by_id->second == it) {
+    by_id_.erase(by_id);
+  }
   // The entry's service set is recorded at insert, so each service index is
   // trimmed directly — no scan over unrelated services. Eviction order is
   // insertion order, hence the victim heads each of its services' deques.
@@ -211,7 +246,7 @@ void SessionStore::ImportSnapshot(std::vector<Session> sessions,
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& session : sessions) {
-      InsertLocked(std::move(session));
+      InsertLocked(MakeEntry(std::move(session)));
     }
     // A restore into a smaller budget re-spills (sink under mu_, like
     // Insert); the cold tier dedupes anything that was already durable, and
@@ -238,20 +273,45 @@ void SessionStore::SetEvictionSink(EvictionSink sink, EvictionBarrier barrier) {
   eviction_barrier_ = std::move(barrier);
 }
 
-uint64_t SessionStore::AddInsertObserver(InsertObserver fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t token = next_observer_token_++;
-  observers_.emplace_back(token, std::move(fn));
-  return token;
+void SessionStore::ReplaceInsertObserver(InsertObserver* from,
+                                         InsertObserver* to) {
+  std::lock_guard<std::mutex> lock(observers_mu_);
+  ObserverList next;
+  if (observer_list_ != nullptr) {
+    for (InsertObserver* observer : *observer_list_) {
+      if (observer != from) {
+        next.push_back(observer);
+      }
+    }
+  }
+  if (to != nullptr) {
+    next.push_back(to);
+  }
+  std::unique_ptr<const ObserverList> old = std::move(observer_list_);
+  if (!next.empty()) {
+    observer_list_ = std::make_unique<const ObserverList>(std::move(next));
+  }
+  observers_.store(observer_list_.get());
+  // Grace period: an Insert that entered under the old epoch may still hold
+  // the old list. One that enters later reads observers_ after the store
+  // above (every step here and in EnterObserverRead is seq_cst), so it holds
+  // the new list, and the count waited on here cannot grow without bound.
+  const uint32_t old_epoch = observer_epoch_.fetch_add(1);
+  while (observer_readers_[old_epoch & 1].load() != 0) {
+    std::this_thread::yield();
+  }
 }
 
-void SessionStore::RemoveInsertObserver(uint64_t token) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < observers_.size(); ++i) {
-    if (observers_[i].first == token) {
-      observers_.erase(observers_.begin() + static_cast<ptrdiff_t>(i));
-      return;
+uint32_t SessionStore::EnterObserverRead() {
+  while (true) {
+    const uint32_t epoch = observer_epoch_.load();
+    observer_readers_[epoch & 1].fetch_add(1);
+    // Counted under `epoch` only if no flip came between the two loads: the
+    // writer that flips away from it then waits for this reader.
+    if (observer_epoch_.load() == epoch) {
+      return epoch;
     }
+    observer_readers_[epoch & 1].fetch_sub(1);
   }
 }
 

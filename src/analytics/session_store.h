@@ -8,6 +8,7 @@
 #ifndef SRC_ANALYTICS_SESSION_STORE_H_
 #define SRC_ANALYTICS_SESSION_STORE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -16,6 +17,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -101,14 +103,49 @@ class SessionStore {
   void ImportSnapshot(std::vector<Session> sessions, uint64_t inserted,
                       uint64_t evicted);
 
-  // Subscription hook: `fn` runs synchronously inside Insert, after the
-  // session is indexed, for every future insert. Observers are invoked under
-  // the store lock — they must be fast and must not call back into the store
-  // (the query server's observer just serializes the session and enqueues it
-  // for its event loop). Returns a token for RemoveInsertObserver.
-  using InsertObserver = std::function<void(const Session&)>;
-  uint64_t AddInsertObserver(InsertObserver fn);
-  void RemoveInsertObserver(uint64_t token);
+  // Subscription hook, split so an insert's per-observer work runs outside
+  // mu_. For every Insert while it is registered, an observer sees:
+  //   1. Prepare, on the inserting thread before mu_ is taken, with the
+  //      session (still private to that thread) and its sorted, unique
+  //      service ids. It returns what it wants handed on, or null when the
+  //      insert is of no interest to it.
+  //   2. Commit, under mu_, right after the session became queryable, with
+  //      what Prepare returned. Commits across inserting threads run in store
+  //      insertion order. Commit must be fast and must not call back into
+  //      the store. It returns true to be told Published.
+  //   3. Published, after mu_ is released (the query server's wake-up).
+  // With no observer registered an Insert pays one atomic load for all this.
+  class InsertObserver {
+   public:
+    // What Prepare hands to Commit; observers subclass it.
+    struct Pending {
+      Pending() = default;
+      Pending(const Pending&) = delete;
+      Pending& operator=(const Pending&) = delete;
+      virtual ~Pending() = default;
+    };
+    // The store holds its address while it is registered.
+    InsertObserver() = default;
+    InsertObserver(const InsertObserver&) = delete;
+    InsertObserver& operator=(const InsertObserver&) = delete;
+    virtual ~InsertObserver() = default;
+    virtual std::unique_ptr<Pending> Prepare(
+        const Session& session, std::span<const uint32_t> services) = 0;
+    virtual bool Commit(std::unique_ptr<Pending> pending) = 0;
+    virtual void Published() {}
+  };
+
+  // Swaps `from` (null: add) for `to` (null: remove) in one step: every
+  // Insert sees either the list with `from` or the list with `to`, never
+  // neither. Returns once no Insert still uses `from`, which the caller may
+  // then destroy. Not for use from inside an observer.
+  void ReplaceInsertObserver(InsertObserver* from, InsertObserver* to);
+  void AddInsertObserver(InsertObserver* observer) {
+    ReplaceInsertObserver(nullptr, observer);
+  }
+  void RemoveInsertObserver(InsertObserver* observer) {
+    ReplaceInsertObserver(observer, nullptr);
+  }
 
   // Eviction sink: receives every evicted session (strictly oldest-first, the
   // store's insertion order) instead of letting it vanish — the hook the cold
@@ -139,13 +176,17 @@ class SessionStore {
   };
   using EntryList = std::list<Entry>;
 
+  // The entry for `session`, with everything that needs only the session
+  // itself (footprint, time extent, service set) filled in; no lock needed.
+  static Entry MakeEntry(Session session);
   // Caller holds mu_. Each victim is handed to the eviction sink (when set)
   // as it is unindexed, still under mu_, then moved to `victims` — which the
   // caller destroys after unlocking, so no free runs under mu_ — and whose
   // non-emptiness tells the caller to run the eviction barrier.
   void EvictIfNeeded(EntryList* victims);
   void Unindex(EntryList::iterator it);
-  EntryList::iterator InsertLocked(Session session);  // Caller holds mu_.
+  void InsertLocked(Entry entry);  // Caller holds mu_.
+  uint32_t EnterObserverRead();    // Returns the epoch to leave under.
 
   Options options_;
   mutable std::mutex mu_;
@@ -161,8 +202,19 @@ class SessionStore {
   std::multimap<EventTime, EntryList::iterator> by_time_;
   Stats stats_;
   uint64_t next_seq_ = 0;
-  std::vector<std::pair<uint64_t, InsertObserver>> observers_;
-  uint64_t next_observer_token_ = 0;
+  // Insert observers, read by Insert without a lock: observers_ points at
+  // an immutable list (null when empty). An Insert that finds it non-null
+  // enters a read (EnterObserverRead: counted in observer_readers_ under the
+  // current epoch's parity) before reading it again, and leaves it after its
+  // last Published. ReplaceInsertObserver publishes a new list, flips the
+  // epoch and waits for the old epoch's readers to drain before freeing the
+  // old list — a grace period that later Inserts cannot extend.
+  using ObserverList = std::vector<InsertObserver*>;
+  std::atomic<const ObserverList*> observers_{nullptr};
+  std::atomic<uint32_t> observer_epoch_{0};
+  std::atomic<uint32_t> observer_readers_[2] = {0, 0};
+  std::mutex observers_mu_;  // Serializes ReplaceInsertObserver.
+  std::unique_ptr<const ObserverList> observer_list_;  // Owns *observers_.
   EvictionSink eviction_sink_;
   EvictionBarrier eviction_barrier_;
 };

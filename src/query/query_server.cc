@@ -8,10 +8,76 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <span>
 
 #include "src/store/tiered_digest.h"
 
 namespace ts {
+
+// The distinct filters of the current subscribers, as the store's insert
+// observer. Immutable once registered: the loop publishes a new one whenever
+// a subscription starts or ends. Prepare runs on the inserting thread before
+// the store lock; Commit under it.
+class QueryServer::ActiveFilters : public SessionStore::InsertObserver {
+ public:
+  ActiveFilters(QueryServer* server, std::vector<Filter> filters)
+      : server_(server), filters_(std::move(filters)) {}
+
+  const std::vector<Filter>& filters() const { return filters_; }
+
+  // Judges the session against each distinct filter once; serializes it
+  // only if some filter takes it.
+  std::unique_ptr<Pending> Prepare(
+      const Session& session, std::span<const uint32_t> services) override {
+    std::vector<uint64_t> taken;
+    uint64_t evals = 0;
+    for (const Filter& filter : filters_) {
+      bool takes = true;
+      switch (filter.kind) {
+        case Filter::Kind::kAll:
+          break;
+        case Filter::Kind::kService:
+          ++evals;
+          takes = std::binary_search(services.begin(), services.end(),
+                                     filter.service);
+          break;
+        case Filter::Kind::kPrefix:
+          ++evals;
+          takes = session.id.starts_with(filter.prefix);
+          break;
+      }
+      if (takes) {
+        taken.push_back(filter.id);
+      }
+    }
+    if (taken.empty()) {
+      // Nothing to deliver: count the evaluations now. A taken session's
+      // are counted when its push is fanned out, so sub_filter_evals
+      // reaching the close count means every taken close has been offered.
+      server_->filter_evals_.fetch_add(evals, std::memory_order_relaxed);
+      return nullptr;
+    }
+    auto push = std::make_unique<PendingPush>();
+    AppendSessionBlock(session, &push->block);
+    push->taken = std::move(taken);
+    push->filter_evals = evals;
+    server_->sessions_encoded_.fetch_add(1, std::memory_order_relaxed);
+    return push;
+  }
+
+  // Under the store lock, so pushes queue in store insertion order.
+  bool Commit(std::unique_ptr<Pending> pending) override {
+    std::lock_guard<std::mutex> lock(server_->pending_mu_);
+    server_->pending_.emplace_back(static_cast<PendingPush*>(pending.release()));
+    return server_->pending_.size() == 1;  // Was empty: the loop may sleep.
+  }
+
+  void Published() override { server_->loop_.Wake(); }
+
+ private:
+  QueryServer* server_;
+  std::vector<Filter> filters_;
+};
 
 QueryServer::QueryServer(const QueryServerOptions& options,
                          std::shared_ptr<SessionStore> store,
@@ -19,8 +85,8 @@ QueryServer::QueryServer(const QueryServerOptions& options,
     : options_(options), store_(std::move(store)), metrics_(std::move(metrics)) {}
 
 QueryServer::~QueryServer() {
-  if (observer_installed_) {
-    store_->RemoveInsertObserver(observer_token_);
+  if (active_filters_ != nullptr) {
+    store_->RemoveInsertObserver(active_filters_.get());
   }
 }
 
@@ -29,13 +95,7 @@ bool QueryServer::Start() {
   if (!listen_fd_.valid()) {
     return false;
   }
-  if (!loop_.Init() || !loop_.Add(listen_fd_.get(), EPOLLIN)) {
-    return false;
-  }
-  observer_token_ = store_->AddInsertObserver(
-      [this](const Session& session) { OnSessionInserted(session); });
-  observer_installed_ = true;
-  return true;
+  return loop_.Init() && loop_.Add(listen_fd_.get(), EPOLLIN);
 }
 
 void QueryServer::Stop() { loop_.RequestStop(); }
@@ -44,6 +104,8 @@ void QueryServer::Run() {
   while (PollOnce(/*timeout_ms=*/200)) {
   }
   connections_.clear();
+  subscriber_count_.store(0);
+  PublishFilters();  // Nobody is left to deliver to: stop queueing pushes.
 }
 
 bool QueryServer::PollOnce(int timeout_ms) {
@@ -426,18 +488,37 @@ void QueryServer::HandleRequest(Connection* conn, const std::string& line) {
       reply_ok(templates.size());
       break;
     }
-    case QueryRequest::Verb::kSubscribe:
+    case QueryRequest::Verb::kSubscribe: {
+      Filter& filter = conn->filter;
+      if (request.filter_by_service) {
+        filter.kind = Filter::Kind::kService;
+        filter.service = request.filter_service;
+      } else if (request.filter_by_prefix) {
+        filter.kind = Filter::Kind::kPrefix;
+        filter.prefix = request.filter_prefix;
+      }
+      if (active_filters_ != nullptr) {
+        for (const Filter& active : active_filters_->filters()) {
+          if (active.SameAs(filter)) {
+            filter.id = active.id;  // Judged once for all who share it.
+            break;
+          }
+        }
+      }
+      if (filter.id == 0) {
+        filter.id = next_filter_id_++;
+      }
       conn->subscribed = true;
-      conn->filter_by_service = request.filter_by_service;
-      conn->filter_service = request.filter_service;
-      conn->filter_by_prefix = request.filter_by_prefix;
-      conn->filter_prefix = request.filter_prefix;
+      // Published before #SUBSCRIBED goes out: every insert that starts
+      // after the subscriber reads it is judged against its filter.
+      PublishFilters();
       subscriber_count_.fetch_add(1);
       subscribers_attached_.fetch_add(1, std::memory_order_relaxed);
       queries_.fetch_add(1, std::memory_order_relaxed);
       conn->send.Append(kSubscribedLine);
       conn->send.Append('\n');
       break;
+    }
   }
 }
 
@@ -466,6 +547,8 @@ void QueryServer::AppendStats(Connection* conn, uint64_t* lines) {
   stat("server_sessions_dropped",
        sessions_dropped_.load(std::memory_order_relaxed));
   stat("sub_filter_evals", filter_evals_.load(std::memory_order_relaxed));
+  stat("sub_sessions_encoded",
+       sessions_encoded_.load(std::memory_order_relaxed));
   if (cold_ != nullptr) {
     const auto cold = cold_->stats();
     stat("store_cold_segments", cold.segments);
@@ -493,45 +576,56 @@ void QueryServer::AppendStats(Connection* conn, uint64_t* lines) {
   }
 }
 
-void QueryServer::OnSessionInserted(const Session& session) {
-  if (subscriber_count_.load() == 0) {
-    return;  // Nobody listening: skip the serialization entirely.
+void QueryServer::PublishFilters() {
+  std::vector<Filter> filters;
+  for (const auto& conn : connections_) {
+    if (!conn->subscribed) {
+      continue;
+    }
+    const bool known =
+        std::any_of(filters.begin(), filters.end(), [&](const Filter& f) {
+          return f.id == conn->filter.id;
+        });
+    if (!known) {
+      filters.push_back(conn->filter);
+    }
   }
-  PendingPush push;
-  AppendSessionBlock(session, &push.block);
-  push.id = session.id;
-  push.services.reserve(session.records.size());
-  for (const auto& r : session.records) {
-    push.services.push_back(r.service);
+  std::sort(filters.begin(), filters.end(),
+            [](const Filter& a, const Filter& b) { return a.id < b.id; });
+  const auto same_ids = [](const Filter& a, const Filter& b) {
+    return a.id == b.id;
+  };
+  if (active_filters_ == nullptr
+          ? filters.empty()
+          : std::equal(filters.begin(), filters.end(),
+                       active_filters_->filters().begin(),
+                       active_filters_->filters().end(), same_ids)) {
+    return;  // Same distinct filters: nothing to publish.
   }
-  std::sort(push.services.begin(), push.services.end());
-  push.services.erase(
-      std::unique(push.services.begin(), push.services.end()),
-      push.services.end());
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    pending_.push_back(std::move(push));
+  std::unique_ptr<ActiveFilters> next;
+  if (!filters.empty()) {
+    next = std::make_unique<ActiveFilters>(this, std::move(filters));
   }
-  loop_.Wake();
+  // Returns once no insert still judges against the old set.
+  store_->ReplaceInsertObserver(active_filters_.get(), next.get());
+  active_filters_ = std::move(next);
 }
 
 void QueryServer::DeliverPending() {
-  std::vector<PendingPush> batch;
+  std::vector<std::unique_ptr<PendingPush>> batch;
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
     batch.swap(pending_);
   }
+  if (pending_swap_hook_) {
+    pending_swap_hook_();
+  }
   if (batch.empty() && subscriber_count_.load() == 0) {
     return;
   }
-  // Filter results are memoized per (push, distinct filter value): with 500
-  // subscribers sharing a handful of filters, each predicate runs once per
-  // closed session, not once per connection.
-  struct PushMemo {
-    std::map<uint32_t, bool> by_service;
-    std::map<std::string, bool> by_prefix;
-  };
-  std::vector<PushMemo> memos(batch.size());
+  for (const auto& push : batch) {
+    filter_evals_.fetch_add(push->filter_evals, std::memory_order_relaxed);
+  }
   // Iterate over fds, not connection pointers: a flush may close and remove
   // a connection, invalidating raw pointers into connections_.
   std::vector<int> fds;
@@ -552,35 +646,13 @@ void QueryServer::DeliverPending() {
     if (conn == nullptr) {
       continue;
     }
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const auto& push = batch[i];
-      if (conn->filter_by_service) {
-        auto [it, fresh] =
-            memos[i].by_service.try_emplace(conn->filter_service, false);
-        if (fresh) {
-          it->second =
-              std::binary_search(push.services.begin(), push.services.end(),
-                                 conn->filter_service);
-          filter_evals_.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (!it->second) {
-          continue;
-        }
-      } else if (conn->filter_by_prefix) {
-        auto [it, fresh] =
-            memos[i].by_prefix.try_emplace(conn->filter_prefix, false);
-        if (fresh) {
-          it->second = push.id.compare(0, conn->filter_prefix.size(),
-                                       conn->filter_prefix) == 0;
-          filter_evals_.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (!it->second) {
-          continue;
-        }
+    for (const auto& push : batch) {
+      if (!push->TakenBy(conn->filter.id)) {
+        continue;
       }
       MaybeEmitDropNotice(conn);
-      if (conn->dropped_pending == 0 && conn->send.Fits(push.block.size())) {
-        conn->send.Append(push.block);
+      if (conn->dropped_pending == 0 && conn->send.Fits(push->block.size())) {
+        conn->send.Append(push->block);
         sessions_streamed_.fetch_add(1, std::memory_order_relaxed);
       } else {
         // Slow consumer: drop, count, and tell them once space frees. The
@@ -639,11 +711,13 @@ void QueryServer::CloseConnection(int fd) {
   loop_.Del(fd);
   for (size_t i = 0; i < connections_.size(); ++i) {
     if (connections_[i]->fd.get() == fd) {
-      if (connections_[i]->subscribed) {
-        subscriber_count_.fetch_sub(1);
-      }
+      const bool subscribed = connections_[i]->subscribed;
       connections_[i] = std::move(connections_.back());
       connections_.pop_back();
+      if (subscribed) {
+        subscriber_count_.fetch_sub(1);
+        PublishFilters();
+      }
       return;
     }
   }
@@ -657,6 +731,7 @@ QueryServerCounters QueryServer::counters() const {
   c.sessions_streamed = sessions_streamed_.load(std::memory_order_relaxed);
   c.sessions_dropped = sessions_dropped_.load(std::memory_order_relaxed);
   c.filter_evals = filter_evals_.load(std::memory_order_relaxed);
+  c.sessions_encoded = sessions_encoded_.load(std::memory_order_relaxed);
   return c;
 }
 

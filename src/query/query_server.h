@@ -22,15 +22,21 @@
 //
 // Threading: Run()/PollOnce() drive everything on one thread. Stop() and
 // counters() are thread-safe. Session inserts arrive from dataflow worker
-// threads via a SessionStore insert observer, which serializes the session
-// and hands it to the event loop through a mutex-guarded queue + wake.
+// threads. While anyone is subscribed, the loop keeps the set of distinct
+// active filters registered as the store's insert observer; the inserting
+// thread judges each closed session against that set before the store lock
+// and serializes only a session some filter takes. Under the store lock the
+// push joins a mutex-guarded queue in insertion order, and the loop is woken
+// when that queue goes from empty to non-empty.
 #ifndef SRC_QUERY_QUERY_SERVER_H_
 #define SRC_QUERY_QUERY_SERVER_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -69,6 +75,7 @@ struct QueryServerCounters {
   uint64_t sessions_streamed = 0;  // Blocks pushed to subscribers.
   uint64_t sessions_dropped = 0;   // Blocks dropped on slow subscribers.
   uint64_t filter_evals = 0;       // Subscription filter predicate runs.
+  uint64_t sessions_encoded = 0;   // Closed sessions serialized for pushes.
 };
 
 class QueryServer {
@@ -81,8 +88,8 @@ class QueryServer {
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
 
-  // Binds, listens, sets up the event loop, and installs the store insert
-  // observer. Returns false on any socket error.
+  // Binds, listens and sets up the event loop. Returns false on any socket
+  // error. The store insert observer is installed by the first SUBSCRIBE.
   bool Start();
 
   // Source for TEMPLATES responses: a point-in-time snapshot of the mined
@@ -119,27 +126,53 @@ class QueryServer {
     return subscriber_count_.load(std::memory_order_relaxed);
   }
 
+  // Runs on the loop thread right after DeliverPending has taken the pending
+  // queue, before it fans the taken pushes out — a deterministic point for
+  // tests to race an insert against the hand-off. Set before Start().
+  void SetPendingSwapHookForTest(std::function<void()> hook) {
+    pending_swap_hook_ = std::move(hook);
+  }
+
  private:
+  // One distinct SUBSCRIBE filter. Subscribers that ask for an equal filter
+  // share it and its id. Ids are never reused, so a push judged against an
+  // older filter set never reaches a later subscriber of an equal filter.
+  struct Filter {
+    enum class Kind { kAll, kService, kPrefix };
+    Kind kind = Kind::kAll;
+    uint32_t service = 0;
+    std::string prefix;
+    uint64_t id = 0;
+    bool SameAs(const Filter& other) const {
+      return kind == other.kind && service == other.service &&
+             prefix == other.prefix;
+    }
+  };
+
   struct Connection {
     explicit Connection(size_t send_cap) : send(send_cap) {}
     FdGuard fd;
     LineFramer framer;
     SendBuffer send;
     bool subscribed = false;
-    bool filter_by_service = false;
-    uint32_t filter_service = 0;
-    bool filter_by_prefix = false;
-    std::string filter_prefix;
+    Filter filter;                 // Meaningful once subscribed.
     uint64_t dropped_pending = 0;  // Drops since the last #DROPPED notice.
   };
 
-  // A session closed after at least one subscriber attached, serialized once
-  // on the inserting thread, fanned out to matching subscribers on the loop.
-  struct PendingPush {
+  // A closed session some active filter takes, serialized once on the
+  // inserting thread and fanned out to the subscribers of those filters on
+  // the loop.
+  struct PendingPush : SessionStore::InsertObserver::Pending {
     std::string block;
-    std::string id;                  // For prefix filter matching.
-    std::vector<uint32_t> services;  // Sorted unique, for filter matching.
+    std::vector<uint64_t> taken;  // Ids of the filters that take it.
+    uint64_t filter_evals = 0;    // Counted when the push is fanned out.
+    bool TakenBy(uint64_t filter_id) const {
+      return std::find(taken.begin(), taken.end(), filter_id) != taken.end();
+    }
   };
+
+  // The published filter set: the store insert observer (query_server.cc).
+  class ActiveFilters;
 
   void Accept();
   // Returns false if the connection died and was removed.
@@ -154,8 +187,9 @@ class QueryServer {
   bool FlushConnection(Connection* conn);
   void UpdateInterest(Connection* conn);
   void CloseConnection(int fd);
-  // SessionStore insert observer; runs on the inserting thread.
-  void OnSessionInserted(const Session& session);
+  // Registers the distinct filters of the current subscribers with the store
+  // (none: no observer at all). Called whenever a subscription starts or ends.
+  void PublishFilters();
 
   QueryServerOptions options_;
   std::shared_ptr<SessionStore> store_;
@@ -166,11 +200,12 @@ class QueryServer {
   FdGuard listen_fd_;
   EventLoop loop_;
   std::vector<std::unique_ptr<Connection>> connections_;
-  uint64_t observer_token_ = 0;
-  bool observer_installed_ = false;
+  std::unique_ptr<ActiveFilters> active_filters_;  // Registered with store_.
+  uint64_t next_filter_id_ = 1;
+  std::function<void()> pending_swap_hook_;
 
   std::mutex pending_mu_;
-  std::vector<PendingPush> pending_;  // Guarded by pending_mu_.
+  std::vector<std::unique_ptr<PendingPush>> pending_;  // Guarded by pending_mu_.
 
   TransportStats stats_;
   std::atomic<size_t> subscriber_count_{0};
@@ -180,6 +215,7 @@ class QueryServer {
   std::atomic<uint64_t> sessions_streamed_{0};
   std::atomic<uint64_t> sessions_dropped_{0};
   std::atomic<uint64_t> filter_evals_{0};
+  std::atomic<uint64_t> sessions_encoded_{0};
 };
 
 }  // namespace ts

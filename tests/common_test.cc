@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/arena.h"
 #include "src/common/fixed_queue.h"
 #include "src/common/mem_probe.h"
 #include "src/common/retire_queue.h"
@@ -22,6 +23,20 @@ namespace {
 
 // Official SipHash-2-4 test vectors (Aumasson & Bernstein reference
 // implementation): key = 000102...0f, input i = bytes 00 01 ... (i-1).
+TEST(Arena, CopyOfEmptyViewIntoFreshArena) {
+  Arena arena;
+  // Nothing is allocated yet, so the arena has no chunk to copy into; the
+  // copy must not hand memcpy a null destination (UBSan flags it).
+  const std::string_view empty = arena.Copy(std::string_view());
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(arena.bytes_used(), 0u);
+  EXPECT_EQ(arena.bytes_reserved(), 0u);
+  const std::string_view abc = arena.Copy("abc");
+  EXPECT_EQ(abc, "abc");
+  EXPECT_TRUE(arena.Copy(std::string_view(abc.data(), 0)).empty());
+  EXPECT_EQ(arena.bytes_used(), 3u);
+}
+
 TEST(SipHash, ReferenceVectors) {
   const SipHashKey key{0x0706050403020100ULL, 0x0f0e0d0c0b0a0908ULL};
   const uint64_t expected[] = {

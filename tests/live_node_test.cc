@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -20,6 +21,7 @@
 #include "src/ckpt/checkpointer.h"
 #include "src/common/siphash.h"
 #include "src/node/live_node.h"
+#include "src/query/query_client.h"
 #include "tests/live_node_test_util.h"
 
 namespace ts {
@@ -566,6 +568,74 @@ TEST(LiveNodeRetire, RestoredSessionsAreReportedUnderTheirOwnerShard) {
   node.Shutdown();
   EXPECT_EQ(ReportText(node, report), uninterrupted);
   EXPECT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
+}
+
+// A filtered subscriber attached from the start, through the node the tool
+// runs: once the stream is over and the fan-out has settled, STATS balances.
+// Every close was judged once against the one filter (sub_filter_evals ==
+// live_sessions_closed), and every session serialized for the subscriber
+// was delivered or dropped (sub_sessions_encoded == streamed + dropped).
+TEST(LiveNodeSubscribe, FilteredSubscriberBalancesAtQuiescence) {
+  const auto archive = MakeArchive(/*records_per_sec=*/2'000, /*seconds=*/2);
+  const auto first = ParseWireFormat(archive->front());
+  ASSERT_TRUE(first.has_value());
+  const std::string prefix = first->session_id.substr(0, 1);
+  PrefixUpstream upstream;
+  LiveNodeOptions options = TestNodeOptions(upstream.port(), /*workers=*/2);
+  options.pipeline.inactivity_ns = 200 * kNanosPerMilli;
+  std::mutex mu;
+  uint64_t closed = 0;
+  uint64_t taken = 0;
+  LiveNode node(
+      std::move(options),
+      [&](const Session& s, size_t) {
+        std::lock_guard<std::mutex> lock(mu);
+        ++closed;
+        taken += s.id.starts_with(prefix) ? 1 : 0;
+      },
+      /*log=*/nullptr);
+  ASSERT_TRUE(node.Start());
+  QueryClientOptions client_options;
+  client_options.port = node.query_port();
+  QueryClient subscriber(client_options);
+  ASSERT_TRUE(subscriber.Connect());
+  ASSERT_TRUE(subscriber.SubscribeFiltered("prefix=" + prefix));
+  upstream.Serve(*archive, archive->size());
+  node.Run();
+  node.Shutdown();  // Its forced closes are inserted before it returns.
+  ASSERT_GT(taken, 0u);
+  ASSERT_LT(taken, closed);  // The filter really filters.
+
+  uint64_t delivered = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (delivered + subscriber.total_dropped() < taken &&
+         std::chrono::steady_clock::now() < deadline) {
+    Session s;
+    uint64_t dropped = 0;
+    const auto event = subscriber.Next(&s, &dropped, /*timeout_ms=*/500);
+    if (event == QueryClient::Event::kSession) {
+      EXPECT_TRUE(s.id.starts_with(prefix)) << s.id;
+      ++delivered;
+    } else {
+      ASSERT_NE(event, QueryClient::Event::kError);
+      ASSERT_NE(event, QueryClient::Event::kClosed);
+    }
+  }
+  EXPECT_EQ(delivered + subscriber.total_dropped(), taken);
+
+  QueryClient stats_client(client_options);
+  ASSERT_TRUE(stats_client.Connect());
+  const QueryResponse response = stats_client.Stats();
+  ASSERT_TRUE(response.ok);
+  std::map<std::string, int64_t> stat(response.stats.begin(),
+                                      response.stats.end());
+  EXPECT_EQ(stat["live_sessions_closed"], static_cast<int64_t>(closed));
+  EXPECT_EQ(stat["sub_filter_evals"], stat["live_sessions_closed"]);
+  EXPECT_EQ(stat["sub_sessions_encoded"], static_cast<int64_t>(taken));
+  EXPECT_EQ(stat["sub_sessions_encoded"],
+            stat["server_sessions_streamed"] + stat["server_sessions_dropped"]);
+  EXPECT_EQ(stat["server_sessions_streamed"], static_cast<int64_t>(delivered));
 }
 
 }  // namespace

@@ -7,9 +7,9 @@
 //   delivered(conn) + sum(#DROPPED counts on conn) == closes matching
 //                                                     conn's filter
 //
-// and the server evaluates each subscription filter at most once per closed
-// session per distinct filter (the memoized fan-out), not once per
-// subscriber. Runs under TSan in CI (see the tsan job's filter), so the
+// and the server evaluates each distinct subscription filter exactly once
+// per closed session (on the inserting thread, before serializing it), not
+// once per subscriber, and serializes a taken session once. Runs under TSan in CI (see the tsan job's filter), so the
 // fan-out path is also exercised for races, not just accounting.
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -324,12 +324,14 @@ TEST(QueryFanout, FiveHundredSubscribersAccountExactly) {
   }
   EXPECT_GT(total_dropped, 0u);
 
-  // Filter memoization: each close evaluates each *distinct* filter at most
-  // once — 12 distinct filter tokens here (5 service + 7 prefix), not 520
-  // subscribers' worth. Unfiltered fan-out costs no evaluation at all.
+  // Each close evaluates each *distinct* filter once — 12 distinct filter
+  // tokens here (5 service + 7 prefix), not 520 subscribers' worth.
+  // Unfiltered fan-out costs no evaluation at all.
   const uint64_t filter_evals = server.counters().filter_evals;
-  EXPECT_GT(filter_evals, 0u);
-  EXPECT_LE(filter_evals, kSessions * 12);
+  EXPECT_EQ(filter_evals, kSessions * 12);
+  // Unfiltered subscribers take every close, and each is serialized once
+  // for all 520 subscribers.
+  EXPECT_EQ(server.counters().sessions_encoded, kSessions);
 
   for (auto& client : clients) {
     client->Close();
@@ -378,6 +380,55 @@ TEST(QueryFanout, MixedFiltersSmallScaleSmoke) {
         << "filter '" << filters[i] << "'";
     EXPECT_EQ(clients[i]->total_dropped(), 0u);
   }
+  // Both closes are taken (by the unfiltered pair at least) and each is
+  // serialized once however many filters take it; the four distinct
+  // filters ran once per close.
+  EXPECT_EQ(server.counters().sessions_encoded, 2u);
+  EXPECT_EQ(server.counters().filter_evals, 2u * 4);
+
+  server.Stop();
+  server_thread.join();
+}
+
+TEST(QueryFanout, OverlappingFiltersSerializeEachTakenSessionOnce) {
+  auto store = std::make_shared<SessionStore>(SessionStore::Options{});
+  QueryServer server({}, store);
+  ASSERT_TRUE(server.Start());
+  std::thread server_thread([&] { server.Run(); });
+
+  // Three distinct filters; prefix=A is shared by two subscribers.
+  const std::vector<std::string> filters = {"service=1", "prefix=A",
+                                            "prefix=A", "service=3"};
+  std::vector<std::unique_ptr<QueryClient>> clients;
+  for (const auto& filter : filters) {
+    QueryClientOptions client_options;
+    client_options.port = server.port();
+    clients.push_back(std::make_unique<QueryClient>(client_options));
+    ASSERT_TRUE(clients.back()->Connect());
+    ASSERT_TRUE(clients.back()->SubscribeFiltered(filter));
+  }
+
+  store->Insert(MakeSession("A-1", 0, {1, 2}));            // 3 filters take it.
+  store->Insert(MakeSession("B-1", kNanosPerMilli, {2, 3}));  // service=3.
+  store->Insert(MakeSession("C-1", 2 * kNanosPerMilli, {4}));  // None.
+
+  const std::vector<std::vector<std::string>> expected = {
+      {"A-1"}, {"A-1"}, {"A-1"}, {"B-1"}};
+  for (size_t i = 0; i < clients.size(); ++i) {
+    std::vector<std::string> got;
+    Session s;
+    uint64_t dropped = 0;
+    while (got.size() < expected[i].size() &&
+           clients[i]->Next(&s, &dropped, /*timeout_ms=*/5000) ==
+               QueryClient::Event::kSession) {
+      got.push_back(s.id);
+    }
+    EXPECT_EQ(got, expected[i]) << "filter '" << filters[i] << "'";
+  }
+  const auto counters = server.counters();
+  EXPECT_EQ(counters.sessions_encoded, 2u);  // C-1 never serialized.
+  EXPECT_EQ(counters.filter_evals, 3u * 3);
+  EXPECT_EQ(counters.sessions_streamed, 4u);
 
   server.Stop();
   server_thread.join();

@@ -9,8 +9,10 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -107,12 +109,36 @@ class RawConn {
   }
   ~RawConn() { ::close(fd_); }
 
-  // Sends one request and returns the exact response bytes, through the
-  // terminating "#OK ...\n" / "#ERR ...\n" line.
-  std::string Request(const std::string& line) {
+  void Send(const std::string& line) {
     const std::string out = line + "\n";
     EXPECT_EQ(::send(fd_, out.data(), out.size(), 0),
               static_cast<ssize_t>(out.size()));
+  }
+
+  // Reads exactly `n` bytes (fewer only if the peer closes or nothing
+  // arrives for `timeout_ms`).
+  std::string ReadBytes(size_t n, int timeout_ms = 10'000) {
+    timeval tv{};
+    tv.tv_sec = timeout_ms / 1000;
+    tv.tv_usec = (timeout_ms % 1000) * 1000;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    std::string out;
+    char buf[4096];
+    while (out.size() < n) {
+      const ssize_t got =
+          ::recv(fd_, buf, std::min(sizeof(buf), n - out.size()), 0);
+      if (got <= 0) {
+        break;
+      }
+      out.append(buf, static_cast<size_t>(got));
+    }
+    return out;
+  }
+
+  // Sends one request and returns the exact response bytes, through the
+  // terminating "#OK ...\n" / "#ERR ...\n" line.
+  std::string Request(const std::string& line) {
+    Send(line);
     std::string response;
     char buf[4096];
     while (!Terminated(response)) {
@@ -354,6 +380,165 @@ TEST(QueryServerSubscribe, ServiceFilterSelectsMatchingSessionsOnly) {
   Session session;
   EXPECT_EQ(client.Next(&session, nullptr, 200),
             QueryClient::Event::kTimeout);
+}
+
+// The filter runs before serialization: a prefix subscriber that takes M of
+// N closes costs N evaluations and M encodings, and its stream is exactly
+// the M blocks, in insertion order.
+TEST(QueryServerSubscribe, PrefixFilterEncodesOnlyTheSessionsItTakes) {
+  ServerFixture fixture;
+  RawConn subscriber(fixture.server->port());
+  subscriber.Send("SUBSCRIBE prefix=lM");
+  const std::string subscribed = std::string(kSubscribedLine) + "\n";
+  ASSERT_EQ(subscriber.ReadBytes(subscribed.size()), subscribed);
+
+  constexpr size_t kSessions = 64;
+  std::string expected;
+  size_t taken = 0;
+  for (size_t i = 0; i < kSessions; ++i) {
+    // One in 16 is a probe, as on perfbench's paced_close.
+    const bool probe = i % 16 == 5;
+    Session s = MakeSession((probe ? "lM" : "l") + std::to_string(i),
+                            static_cast<EventTime>(i) * kNanosPerMilli,
+                            static_cast<EventTime>(i + 1) * kNanosPerMilli,
+                            {static_cast<uint32_t>(i % 3)});
+    if (probe) {
+      expected += EncodeSessionBlock(s);
+      ++taken;
+    }
+    fixture.store->Insert(std::move(s));
+  }
+  EXPECT_EQ(subscriber.ReadBytes(expected.size()), expected);
+
+  const auto counters = fixture.server->counters();
+  EXPECT_EQ(counters.sessions_encoded, taken);
+  EXPECT_EQ(counters.filter_evals, kSessions);
+  EXPECT_EQ(counters.sessions_streamed, taken);
+  EXPECT_EQ(counters.sessions_dropped, 0u);
+  RawConn stats(fixture.server->port());
+  const std::string response = stats.Request("STATS");
+  EXPECT_NE(response.find("STAT sub_sessions_encoded " +
+                          std::to_string(taken) + "\n"),
+            std::string::npos);
+  EXPECT_NE(response.find("STAT sub_filter_evals " +
+                          std::to_string(kSessions) + "\n"),
+            std::string::npos);
+}
+
+// The loop is woken when the pending queue goes from empty to non-empty. A
+// push queued just after DeliverPending took the queue must still wake it:
+// the hook inserts at exactly that point, and the next poll may only end
+// early because of that wake (nothing else is in flight).
+TEST(QueryServerSubscribe, PushQueuedRightAfterTheSwapWakesTheLoop) {
+  auto store = std::make_shared<SessionStore>();
+  QueryServer server({}, store);
+  const Session racer =
+      MakeSession("lMrace", 0, kNanosPerMilli, {1, 2});
+  bool armed = false;
+  server.SetPendingSwapHookForTest([&] {
+    if (armed) {
+      armed = false;
+      store->Insert(Session(racer));
+    }
+  });
+  ASSERT_TRUE(server.Start());
+  RawConn subscriber(server.port());
+  subscriber.Send("SUBSCRIBE prefix=lM");
+  const auto attach_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.subscriber_count() == 0 &&
+         std::chrono::steady_clock::now() < attach_deadline) {
+    ASSERT_TRUE(server.PollOnce(/*timeout_ms=*/100));
+  }
+  ASSERT_EQ(server.subscriber_count(), 1u);
+  const std::string subscribed = std::string(kSubscribedLine) + "\n";
+  ASSERT_EQ(subscriber.ReadBytes(subscribed.size()), subscribed);
+
+  armed = true;
+  ASSERT_TRUE(server.PollOnce(/*timeout_ms=*/0));
+  ASSERT_FALSE(armed);  // The hook ran and queued the push...
+  EXPECT_EQ(server.counters().sessions_streamed, 0u);  // ...after the swap.
+
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(server.PollOnce(/*timeout_ms=*/60'000));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(30))
+      << "the push did not wake the loop";
+  EXPECT_EQ(server.counters().sessions_streamed, 1u);
+  const std::string block = EncodeSessionBlock(racer);
+  EXPECT_EQ(subscriber.ReadBytes(block.size()), block);
+}
+
+// Two inserting threads race subscribe/unsubscribe churn (every filter kind,
+// connections dropped mid-stream) while one subscriber stays attached
+// throughout. Under TSan this covers the published filter set's hand-over;
+// the stable subscriber's ledger must balance exactly, and no session is
+// serialized more than once.
+TEST(QueryServerSubscribe, InsertersRaceSubscribeChurn) {
+  SessionStore::Options store_options;
+  store_options.max_bytes = 4u << 20;  // The inserters run free: bound them.
+  ServerFixture fixture({}, store_options);
+  auto stable = fixture.Client();
+  ASSERT_TRUE(stable.SubscribeFiltered("prefix=A"));
+
+  // The inserters run until the churn is over, so every subscribe and
+  // unsubscribe lands among inserts.
+  constexpr int kInserters = 2;
+  constexpr size_t kChurnCycles = 40;
+  std::atomic<bool> churn_over{false};
+  std::atomic<uint64_t> inserted{0};
+  std::atomic<uint64_t> taken{0};
+  std::vector<std::thread> inserters;
+  for (int t = 0; t < kInserters; ++t) {
+    inserters.emplace_back([&, t] {
+      for (int i = 0; !churn_over.load() || i < 100; ++i) {
+        const bool a = i % 4 == 0;
+        fixture.store->Insert(MakeSession(
+            std::string(a ? "A" : "B") + std::to_string(t) + "-" +
+                std::to_string(i),
+            static_cast<EventTime>(i) * kNanosPerMilli,
+            static_cast<EventTime>(i + 1) * kNanosPerMilli,
+            {static_cast<uint32_t>(i % 3)}));
+        inserted.fetch_add(1);
+        taken.fetch_add(a ? 1 : 0);
+      }
+    });
+  }
+  const std::vector<std::string> filters = {"", "service=1", "prefix=B",
+                                            "prefix=A", "service=7"};
+  for (size_t cycle = 0; cycle < kChurnCycles; ++cycle) {
+    auto client = fixture.Client();
+    ASSERT_TRUE(client.SubscribeFiltered(filters[cycle % filters.size()]));
+    Session session;
+    uint64_t dropped = 0;
+    (void)client.Next(&session, &dropped, /*timeout_ms=*/1);
+    client.Close();
+  }
+  churn_over.store(true);
+  for (auto& thread : inserters) {
+    thread.join();
+  }
+
+  const uint64_t want = taken.load();
+  uint64_t delivered = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (delivered + stable.total_dropped() < want &&
+         std::chrono::steady_clock::now() < deadline) {
+    Session session;
+    uint64_t dropped = 0;
+    const auto event = stable.Next(&session, &dropped, /*timeout_ms=*/500);
+    if (event == QueryClient::Event::kSession) {
+      EXPECT_EQ(session.id[0], 'A');
+      ++delivered;
+    } else {
+      ASSERT_NE(event, QueryClient::Event::kError);
+      ASSERT_NE(event, QueryClient::Event::kClosed);
+    }
+  }
+  EXPECT_EQ(delivered + stable.total_dropped(), want);
+  const auto counters = fixture.server->counters();
+  EXPECT_GE(counters.sessions_encoded, want);
+  EXPECT_LE(counters.sessions_encoded, inserted.load());
 }
 
 TEST(QueryServerSubscribe, SlowSubscriberIsBoundedWithExactDropAccounting) {

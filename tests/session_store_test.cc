@@ -1,5 +1,9 @@
 // Tests for the bounded session store behind the query interface (Figure 2).
 #include <atomic>
+#include <functional>
+#include <memory>
+#include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,6 +40,22 @@ Session MakeSession(const std::string& id, EventTime start_ms, EventTime end_ms,
   }
   return s;
 }
+
+// Calls `fn` from Prepare for every insert and hands nothing on.
+class CallbackObserver : public SessionStore::InsertObserver {
+ public:
+  explicit CallbackObserver(std::function<void(const Session&)> fn)
+      : fn_(std::move(fn)) {}
+  std::unique_ptr<Pending> Prepare(const Session& session,
+                                   std::span<const uint32_t>) override {
+    fn_(session);
+    return nullptr;
+  }
+  bool Commit(std::unique_ptr<Pending>) override { return false; }
+
+ private:
+  std::function<void(const Session&)> fn_;
+};
 
 TEST(SessionStore, InsertAndGetById) {
   SessionStore store;
@@ -171,14 +191,14 @@ TEST(SessionStore, InsertObserversFireUntilRemoved) {
   SessionStore store;
   std::vector<std::string> seen_a;
   std::vector<std::string> seen_b;
-  const uint64_t a =
-      store.AddInsertObserver([&](const Session& s) { seen_a.push_back(s.id); });
-  const uint64_t b =
-      store.AddInsertObserver([&](const Session& s) { seen_b.push_back(s.id); });
+  CallbackObserver a([&](const Session& s) { seen_a.push_back(s.id); });
+  CallbackObserver b([&](const Session& s) { seen_b.push_back(s.id); });
+  store.AddInsertObserver(&a);
+  store.AddInsertObserver(&b);
   store.Insert(MakeSession("X", 0, 1, {1}));
-  store.RemoveInsertObserver(a);
+  store.RemoveInsertObserver(&a);
   store.Insert(MakeSession("Y", 1, 2, {1}));
-  store.RemoveInsertObserver(b);
+  store.RemoveInsertObserver(&b);
   store.Insert(MakeSession("Z", 2, 3, {1}));
   EXPECT_EQ(seen_a, (std::vector<std::string>{"X"}));
   EXPECT_EQ(seen_b, (std::vector<std::string>{"X", "Y"}));
@@ -191,9 +211,10 @@ TEST(SessionStore, ConcurrentInsertEvictQueryStress) {
   options.max_bytes = 64 << 10;  // Small: constant eviction under load.
   SessionStore store(options);
   std::atomic<uint64_t> observed{0};
-  store.AddInsertObserver([&](const Session&) {
+  CallbackObserver counter([&](const Session&) {
     observed.fetch_add(1, std::memory_order_relaxed);
   });
+  store.AddInsertObserver(&counter);
 
   constexpr int kWriters = 3;
   constexpr int kReaders = 3;
@@ -246,6 +267,142 @@ TEST(SessionStore, ConcurrentInsertEvictQueryStress) {
     by_service_total += store.QueryByService(svc, 10'000).size();
   }
   EXPECT_GE(by_service_total, stats.sessions);  // Sessions touch >= 1 svc.
+}
+
+// Replaying an (id, fragment) the store already holds keeps both copies;
+// evicting the older one must leave the newer one reachable by id.
+TEST(SessionStore, EvictingAnOlderDuplicateKeepsTheNewerReachable) {
+  SessionStore::Options options;
+  options.max_bytes = 2048;
+  SessionStore store(options);
+  store.Insert(MakeSession("DUP", 0, 5, {1}));
+  store.Insert(MakeSession("DUP", 10, 15, {2}));
+  for (int i = 0; store.stats().evicted == 0; ++i) {
+    store.Insert(MakeSession("F" + std::to_string(i), 20 + i, 21 + i, {3}));
+  }
+  ASSERT_EQ(store.stats().evicted, 1u);  // Only the older DUP is gone.
+  const auto dup = store.GetById("DUP");
+  ASSERT_TRUE(dup.has_value());
+  EXPECT_EQ(dup->records.front().service, 2u);  // The newer copy.
+  EXPECT_TRUE(store.Contains("DUP", 0));
+  EXPECT_EQ(store.GetAllFragments("DUP").size(), 1u);
+}
+
+// Hands each session's id from Prepare to Commit and records the commits;
+// asks for Published on every one.
+class OrderObserver : public SessionStore::InsertObserver {
+ public:
+  struct Id : Pending {
+    std::string id;
+  };
+  std::unique_ptr<Pending> Prepare(
+      const Session& session, std::span<const uint32_t> services) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);  // Prepare runs unlocked.
+      services_.emplace_back(services.begin(), services.end());
+    }
+    auto pending = std::make_unique<Id>();
+    pending->id = session.id;
+    return pending;
+  }
+  bool Commit(std::unique_ptr<Pending> pending) override {
+    committed_.push_back(static_cast<Id&>(*pending).id);
+    return true;
+  }
+  void Published() override { ++published_; }
+
+  std::mutex mu_;
+  std::vector<std::vector<uint32_t>> services_;  // Guarded by mu_.
+  std::vector<std::string> committed_;
+  std::atomic<int> published_{0};
+};
+
+TEST(SessionStore, ObserverSeesServiceSetThenCommitsInOrder) {
+  SessionStore store;
+  OrderObserver observer;
+  store.AddInsertObserver(&observer);
+  store.Insert(MakeSession("A", 0, 1, {5, 3, 5, 1}));
+  store.Insert(MakeSession("B", 1, 2, {2}));
+  store.RemoveInsertObserver(&observer);
+  store.Insert(MakeSession("C", 2, 3, {2}));
+  ASSERT_EQ(observer.services_.size(), 2u);
+  EXPECT_EQ(observer.services_[0], (std::vector<uint32_t>{1, 3, 5}));
+  EXPECT_EQ(observer.services_[1], (std::vector<uint32_t>{2}));
+  EXPECT_EQ(observer.committed_, (std::vector<std::string>{"A", "B"}));
+  EXPECT_EQ(observer.published_, 2);
+}
+
+// Commit runs under the store lock, in store insertion order: with several
+// inserting threads, the commit sequence equals the order in which the
+// sessions entered the store (its eviction order, read back through
+// ForEachSession).
+TEST(SessionStore, ConcurrentCommitsFollowInsertionOrder) {
+  SessionStore store;
+  OrderObserver observer;
+  store.AddInsertObserver(&observer);
+  constexpr int kThreads = 3;
+  constexpr int kPerThread = 300;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&store, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        store.Insert(MakeSession(
+            "T" + std::to_string(t) + "-" + std::to_string(i), i, i + 1,
+            {static_cast<uint32_t>(i % 5)}));
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  store.RemoveInsertObserver(&observer);
+  std::vector<std::string> stored;
+  store.ForEachSession([&](const Session& s) { stored.push_back(s.id); });
+  EXPECT_EQ(observer.committed_, stored);
+  EXPECT_EQ(observer.published_, kThreads * kPerThread);
+}
+
+// Replacing an observer under concurrent inserts: every insert is seen by
+// exactly one of the two, and the old one is never called once Replace
+// returns.
+TEST(SessionStore, ReplaceObserverUnderInsertsLosesNothing) {
+  SessionStore store;
+  std::atomic<int> seen_old{0};
+  std::atomic<int> seen_new{0};
+  std::atomic<bool> old_retired{false};
+  std::atomic<int> late_calls{0};
+  CallbackObserver old_observer([&](const Session&) {
+    if (old_retired.load()) {
+      late_calls.fetch_add(1);
+    }
+    seen_old.fetch_add(1);
+  });
+  CallbackObserver new_observer([&](const Session&) { seen_new.fetch_add(1); });
+  store.AddInsertObserver(&old_observer);
+  constexpr int kThreads = 2;
+  constexpr int kPerThread = 2000;
+  std::atomic<int> started{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&store, &started, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        store.Insert(MakeSession(
+            "R" + std::to_string(t) + "-" + std::to_string(i), i, i + 1, {1}));
+        started.fetch_add(1);
+      }
+    });
+  }
+  while (started.load() < kPerThread / 2) {
+    std::this_thread::yield();
+  }
+  store.ReplaceInsertObserver(&old_observer, &new_observer);
+  old_retired.store(true);
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  store.RemoveInsertObserver(&new_observer);
+  EXPECT_EQ(seen_old.load() + seen_new.load(), kThreads * kPerThread);
+  EXPECT_EQ(late_calls.load(), 0);
 }
 
 TEST(SessionStore, ConcurrentInsertAndQuery) {

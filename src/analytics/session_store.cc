@@ -12,14 +12,7 @@ SessionStore::Entry SessionStore::MakeEntry(Session session) {
   entry.bytes = session.MemoryFootprint();
   entry.min_time = session.MinTime();
   entry.max_time = session.MaxTime();
-  entry.services.reserve(session.records.size());
-  for (const auto& r : session.records) {
-    entry.services.push_back(r.service);
-  }
-  std::sort(entry.services.begin(), entry.services.end());
-  entry.services.erase(
-      std::unique(entry.services.begin(), entry.services.end()),
-      entry.services.end());
+  entry.services = session.Services();
   entry.session = std::move(session);
   return entry;
 }

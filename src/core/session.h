@@ -2,6 +2,7 @@
 #ifndef SRC_CORE_SESSION_H_
 #define SRC_CORE_SESSION_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -40,6 +41,19 @@ struct Session {
       t = t > r.time ? t : r.time;
     }
     return t;
+  }
+  // The services the session touched, sorted and unique: the by-service
+  // index key set of both store tiers and TOPK's per-session count.
+  std::vector<uint32_t> Services() const {
+    std::vector<uint32_t> services;
+    services.reserve(records.size());
+    for (const auto& r : records) {
+      services.push_back(r.service);
+    }
+    std::sort(services.begin(), services.end());
+    services.erase(std::unique(services.begin(), services.end()),
+                   services.end());
+    return services;
   }
   EventTime Duration() const { return records.empty() ? 0 : MaxTime() - MinTime(); }
 

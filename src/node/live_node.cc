@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/ckpt/live_checkpoint.h"
+#include "src/store/tiered_reads.h"
 
 namespace ts {
 namespace {
@@ -164,8 +165,7 @@ void LiveNode::StartPipeline(bool restored, CheckpointState&& state) {
   pipeline_ = std::make_unique<LivePipeline>(
       pipe_options, [this, dedupe_replay](Session&& s) {
         if (dedupe_replay &&
-            (store_->Contains(s.id, s.fragment_index) ||
-             (cold_ != nullptr && cold_->Contains(s.id, s.fragment_index)))) {
+            TieredContains(*store_, cold_.get(), s.id, s.fragment_index)) {
           // Replay-window dedupe guard: with an exact resume offset this
           // never fires, but it keeps a stale offset from double-counting.
           // The cold check covers sessions the pre-crash run had already

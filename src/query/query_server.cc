@@ -5,12 +5,9 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <limits>
-#include <map>
-#include <set>
 #include <span>
 
-#include "src/store/tiered_digest.h"
+#include "src/store/tiered_reads.h"
 
 namespace ts {
 
@@ -211,197 +208,63 @@ void QueryServer::HandleRequest(Connection* conn, const std::string& line) {
     return;
   }
 
-  // Appends session blocks within the connection's output budget. The first
-  // block always goes out (a response must make progress even if one session
-  // outweighs the whole budget); once the budget is exceeded the response is
-  // cut short and flagged with #TRUNCATED.
-  auto append_sessions = [&](const std::vector<Session>& sessions) {
-    uint64_t appended = 0;
-    bool truncated = false;
-    std::string block;
-    for (const auto& session : sessions) {
-      block.clear();
-      AppendSessionBlock(session, &block);
-      if (appended > 0 && !conn->send.Fits(block.size())) {
-        truncated = true;
-        break;
-      }
-      conn->send.Append(block);
-      ++appended;
-    }
-    if (truncated) {
-      conn->send.Append(kTruncatedLine);
-      conn->send.Append('\n');
-    }
-    return appended;
-  };
   auto reply_ok = [&](uint64_t count) {
     conn->send.Append(FormatOk(count));
     conn->send.Append('\n');
     queries_.fetch_add(1, std::memory_order_relaxed);
   };
+  // Appends session blocks within the connection's output budget. The first
+  // block always goes out (a response must make progress even if one session
+  // outweighs the whole budget); once the budget is exceeded `emit` returns
+  // false and reply_sessions flags the cut-short response with #TRUNCATED.
+  uint64_t appended = 0;
+  bool truncated = false;
+  std::string block;
+  auto emit = [&](const Session& session) {
+    block.clear();
+    AppendSessionBlock(session, &block);
+    if (appended > 0 && !conn->send.Fits(block.size())) {
+      truncated = true;
+      return false;
+    }
+    conn->send.Append(block);
+    ++appended;
+    return true;
+  };
+  auto reply_sessions = [&] {
+    if (truncated) {
+      conn->send.Append(kTruncatedLine);
+      conn->send.Append('\n');
+    }
+    reply_ok(appended);
+  };
+  const size_t limit = std::min(request.limit, options_.max_query_limit);
 
   switch (request.verb) {
-    case QueryRequest::Verb::kGet: {
-      auto session = store_->GetById(request.id, request.fragment);
-      if (!session.has_value() && cold_ != nullptr) {
-        session = cold_->Get(request.id, request.fragment);  // Cold fallback.
+    case QueryRequest::Verb::kGet:
+      if (auto session = TieredGet(*store_, cold_.get(), request.id,
+                                   request.fragment)) {
+        emit(*session);
       }
-      uint64_t count = 0;
-      if (session.has_value()) {
-        std::string block;
-        AppendSessionBlock(*session, &block);
-        conn->send.Append(block);
-        count = 1;
-      }
-      reply_ok(count);
+      reply_sessions();
       break;
-    }
-    case QueryRequest::Verb::kFragments: {
-      std::vector<Session> sessions = store_->GetAllFragments(request.id);
-      if (cold_ != nullptr) {
-        sessions = MergeTieredFragments(std::move(sessions),
-                                        cold_->GetAllFragments(request.id));
-      }
-      reply_ok(append_sessions(sessions));
-      break;
-    }
-    case QueryRequest::Verb::kService: {
-      const size_t limit = std::min(request.limit, options_.max_query_limit);
-      const std::vector<Session> hot =
-          store_->QueryByService(request.service, limit);
-      if (cold_ == nullptr || hot.size() >= limit) {
-        reply_ok(append_sessions(hot));
-        break;
-      }
-      // Hot answered fewer than `limit`, so it holds *every* matching hot
-      // session — continue into the cold tier, newest first, deduping the
-      // (rare, post-restore) sessions present in both tiers. Cold frames are
-      // read lazily, one candidate at a time, inside the response budget.
-      std::set<std::pair<std::string, uint32_t>> hot_keys;
-      for (const auto& s : hot) {
-        hot_keys.emplace(s.id, s.fragment_index);
-      }
-      uint64_t appended = 0;
-      bool truncated = false;
-      std::string block;
-      auto emit = [&](const Session& s) {  // False once the budget is spent.
-        block.clear();
-        AppendSessionBlock(s, &block);
-        if (appended > 0 && !conn->send.Fits(block.size())) {
-          truncated = true;
-          return false;
-        }
-        conn->send.Append(block);
-        ++appended;
-        return true;
-      };
-      bool budget_ok = true;
-      for (const auto& s : hot) {
-        if (!(budget_ok = emit(s))) {
+    case QueryRequest::Verb::kFragments:
+      for (const auto& session :
+           TieredFragments(*store_, cold_.get(), request.id)) {
+        if (!emit(session)) {
           break;
         }
       }
-      if (budget_ok) {
-        Session cold_session;
-        // Over-collect by the hot result count: post-restore a session can
-        // sit in both tiers, and every deduped candidate must not cost the
-        // reply a slot it could have filled from deeper in the cold index.
-        for (const auto& cand :
-             cold_->CollectByService(request.service, limit + hot.size())) {
-          if (appended >= limit) {
-            break;
-          }
-          if (hot_keys.count({cand.id, cand.fragment}) != 0) {
-            continue;
-          }
-          if (!cold_->Read(cand, &cold_session)) {
-            continue;  // Damage degrades to a cold miss.
-          }
-          if (!(budget_ok = emit(cold_session))) {
-            break;
-          }
-        }
-      }
-      if (truncated) {
-        conn->send.Append(kTruncatedLine);
-        conn->send.Append('\n');
-      }
-      reply_ok(appended);
+      reply_sessions();
       break;
-    }
-    case QueryRequest::Verb::kRange: {
-      const size_t limit = std::min(request.limit, options_.max_query_limit);
-      const std::vector<Session> hot =
-          store_->QueryByTimeRange(request.lo, request.hi, limit);
-      std::vector<ColdTier::Candidate> cold_candidates;
-      if (cold_ != nullptr) {
-        // Over-collect by the hot result count so candidates deduped against
-        // a hot twin (post-restore overlap) cannot leave the merge short.
-        cold_candidates =
-            cold_->CollectRange(request.lo, request.hi, limit + hot.size());
-      }
-      if (cold_candidates.empty()) {
-        reply_ok(append_sessions(hot));
-        break;
-      }
-      // Merge cold candidates (start-ordered, eviction order on ties) with
-      // the start-ordered hot results. Every cold session was inserted
-      // before every hot one, so taking cold first on equal start times
-      // reproduces exactly the bytes an unbounded store would have served.
-      // Cold frames are read only when their block is actually emitted: the
-      // response streams within its budget and never materializes a segment.
-      std::set<std::pair<std::string, uint32_t>> hot_keys;
-      std::vector<EventTime> hot_min_times;
-      hot_min_times.reserve(hot.size());
-      for (const auto& s : hot) {
-        hot_keys.emplace(s.id, s.fragment_index);
-        hot_min_times.push_back(s.MinTime());
-      }
-      uint64_t appended = 0;
-      bool truncated = false;
-      std::string block;
-      auto emit = [&](const Session& s) {  // False once the budget is spent.
-        block.clear();
-        AppendSessionBlock(s, &block);
-        if (appended > 0 && !conn->send.Fits(block.size())) {
-          truncated = true;
-          return false;
-        }
-        conn->send.Append(block);
-        ++appended;
-        return true;
-      };
-      size_t h = 0;
-      size_t c = 0;
-      Session cold_session;
-      bool budget_ok = true;
-      while (budget_ok && appended < limit &&
-             (h < hot.size() || c < cold_candidates.size())) {
-        const bool take_cold =
-            c < cold_candidates.size() &&
-            (h >= hot.size() ||
-             cold_candidates[c].min_time <= hot_min_times[h]);
-        if (take_cold) {
-          const auto& cand = cold_candidates[c++];
-          if (hot_keys.count({cand.id, cand.fragment}) != 0) {
-            continue;  // Post-restore overlap: the hot copy already went out.
-          }
-          if (!cold_->Read(cand, &cold_session)) {
-            continue;  // Damage degrades to a cold miss.
-          }
-          budget_ok = emit(cold_session);
-        } else {
-          budget_ok = emit(hot[h++]);
-        }
-      }
-      if (truncated) {
-        conn->send.Append(kTruncatedLine);
-        conn->send.Append('\n');
-      }
-      reply_ok(appended);
+    case QueryRequest::Verb::kService:
+      TieredByService(*store_, cold_.get(), request.service, limit, emit);
+      reply_sessions();
       break;
-    }
+    case QueryRequest::Verb::kRange:
+      TieredByRange(*store_, cold_.get(), request.lo, request.hi, limit, emit);
+      reply_sessions();
+      break;
     case QueryRequest::Verb::kStats: {
       uint64_t lines_out = 0;
       AppendStats(conn, &lines_out);
@@ -409,56 +272,7 @@ void QueryServer::HandleRequest(Connection* conn, const std::string& line) {
       break;
     }
     case QueryRequest::Verb::kTopK: {
-      std::vector<std::pair<uint32_t, uint64_t>> top;
-      if (cold_ == nullptr) {
-        for (const auto& [service, count] : store_->TopServices(request.k)) {
-          top.emplace_back(service, count);
-        }
-      } else {
-        // Merge the live counts with the cold tier's per-segment summaries
-        // (no frame reads), then re-rank — TOPK covers all history.
-        std::map<uint32_t, uint64_t> counts;
-        for (const auto& [service, count] :
-             store_->TopServices(std::numeric_limits<size_t>::max())) {
-          counts[service] += count;
-        }
-        for (const auto& [service, count] : cold_->ServiceCounts()) {
-          counts[service] += count;
-        }
-        if (cold_->stats().sessions > 0) {
-          // Post-restore a session can sit in both tiers (the snapshot
-          // restored it hot, a pre-crash flush already made it durable cold);
-          // both sums above counted it, so subtract the overlap once — the
-          // unbounded reference holds each session exactly once.
-          std::vector<uint32_t> services;
-          store_->ForEachSession([&](const Session& s) {
-            if (!cold_->Contains(s.id, s.fragment_index)) {
-              return;
-            }
-            services.clear();
-            for (const auto& r : s.records) {
-              services.push_back(r.service);
-            }
-            std::sort(services.begin(), services.end());
-            services.erase(std::unique(services.begin(), services.end()),
-                           services.end());
-            for (uint32_t service : services) {
-              const auto it = counts.find(service);
-              if (it != counts.end() && --it->second == 0) {
-                counts.erase(it);
-              }
-            }
-          });
-        }
-        top.assign(counts.begin(), counts.end());
-        const size_t keep = std::min(request.k, top.size());
-        std::partial_sort(top.begin(), top.begin() + static_cast<ptrdiff_t>(keep),
-                          top.end(), [](const auto& a, const auto& b) {
-                            return a.second > b.second ||
-                                   (a.second == b.second && a.first < b.first);
-                          });
-        top.resize(keep);
-      }
+      const auto top = TieredTopServices(*store_, cold_.get(), request.k);
       for (const auto& [service, count] : top) {
         conn->send.Append("TOP " + std::to_string(service) + " " +
                           std::to_string(count));

@@ -104,9 +104,9 @@ class QueryServer {
 
   // Attaches the cold tier (may be null). Call before Start(): the loop
   // thread reads it without further synchronization. With a tier attached,
-  // GET/FRAGMENTS/SERVICE/RANGE/TOPK transparently fall back to cold
-  // segments when the hot window has evicted the answer, and STATS grows
-  // store_cold_* gauges — history is bounded only by disk.
+  // GET/FRAGMENTS/SERVICE/RANGE/TOPK answer over hot ∪ cold through
+  // src/store/tiered_reads.h, and STATS grows store_cold_* gauges —
+  // history is bounded only by disk.
   void SetColdTier(std::shared_ptr<ColdTier> cold) { cold_ = std::move(cold); }
 
   uint16_t port() const { return port_; }

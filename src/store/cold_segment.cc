@@ -27,18 +27,6 @@ uint64_t LoadU64LE(const unsigned char* p) {
   return v;
 }
 
-std::vector<uint32_t> SortedUniqueServices(const Session& session) {
-  std::vector<uint32_t> services;
-  services.reserve(session.records.size());
-  for (const auto& r : session.records) {
-    services.push_back(r.service);
-  }
-  std::sort(services.begin(), services.end());
-  services.erase(std::unique(services.begin(), services.end()),
-                 services.end());
-  return services;
-}
-
 // pread the exact byte range [offset, offset+len) into buf. False on any
 // error or short read (a truncated file must read as damage, not garbage).
 // `path` is for the fault hooks only.
@@ -110,7 +98,7 @@ bool WriteColdSegment(const std::string& path,
     entry.length = static_cast<uint32_t>(frames.size() - entry.offset);
     entry.min_time = session.MinTime();
     entry.max_time = session.MaxTime();
-    entry.services = SortedUniqueServices(session);
+    entry.services = session.Services();
     for (uint32_t s : entry.services) {
       ++service_counts[s];
     }

@@ -46,18 +46,6 @@ bool ParseSegmentName(const std::string& name, uint64_t* seq) {
   return true;
 }
 
-std::vector<uint32_t> SortedUniqueServices(const Session& session) {
-  std::vector<uint32_t> services;
-  services.reserve(session.records.size());
-  for (const auto& r : session.records) {
-    services.push_back(r.service);
-  }
-  std::sort(services.begin(), services.end());
-  services.erase(std::unique(services.begin(), services.end()),
-                 services.end());
-  return services;
-}
-
 // A segment target the pending queue can never reach (target > the pending
 // bound) would leave WantSpillLocked false forever while WaitForSpace blocks
 // on a backlog only the spill thread can drain — clamp it.
@@ -166,7 +154,7 @@ void ColdTier::Append(Session&& session) {
   entry.bytes = session.MemoryFootprint();
   entry.min_time = session.MinTime();
   entry.max_time = session.MaxTime();
-  entry.services = SortedUniqueServices(session);
+  entry.services = session.Services();
   entry.session = std::move(session);
   for (uint32_t s : entry.services) {
     ++service_counts_[s];
@@ -431,26 +419,72 @@ std::optional<Session> ColdTier::Get(const std::string& id, uint32_t fragment) {
   return session;
 }
 
-std::vector<Session> ColdTier::GetAllFragments(const std::string& id) {
-  std::vector<uint32_t> fragments;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // by_id_ is ordered: fragments of one id are contiguous and ascending.
-    for (auto it = by_id_.lower_bound(std::make_pair(id, 0u));
-         it != by_id_.end() && it->first.first == id; ++it) {
-      fragments.push_back(it->first.second);
+ColdTier::Candidate ColdTier::CandidateLocked(uint64_t order) const {
+  uint32_t i = 0;
+  const int seg = LocateLocked(order, &i);
+  if (seg < 0) {
+    const PendingEntry& e = pending_[i];
+    return {e.session.id, e.session.fragment_index, e.min_time, order};
+  }
+  const ColdSegmentEntry& e =
+      segments_[static_cast<size_t>(seg)].index.entries[i];
+  return {e.id, e.fragment, e.min_time, order};
+}
+
+// Index-only scan: (min_time, order) pairs first, ids only for the `limit`
+// survivors — a RANGE over 100k cold sessions allocates 16 bytes per match,
+// not a session copy.
+template <typename SegmentFilter, typename EntryFilter>
+std::vector<ColdTier::Candidate> ColdTier::CollectLocked(
+    SegmentFilter segment_may_match, EntryFilter entry_matches, size_t limit,
+    bool newest_first) const {
+  std::vector<Candidate> out;
+  if (limit == 0) {
+    return out;
+  }
+  std::vector<std::pair<EventTime, uint64_t>> matches;
+  for (const auto& segment : segments_) {
+    if (!segment_may_match(segment.index)) {
+      continue;  // The footer summary excludes the whole segment.
+    }
+    for (size_t i = 0; i < segment.index.entries.size(); ++i) {
+      const auto& e = segment.index.entries[i];
+      if (entry_matches(e)) {
+        matches.emplace_back(e.min_time, segment.base_order + i);
+      }
     }
   }
-  std::vector<Session> out;
-  out.reserve(fragments.size());
-  Candidate candidate;
-  candidate.id = id;
-  for (uint32_t fragment : fragments) {
-    candidate.fragment = fragment;
-    Session session;
-    if (Read(candidate, &session)) {
-      out.push_back(std::move(session));
+  for (size_t i = 0; i < pending_.size(); ++i) {
+    const auto& e = pending_[i];
+    if (entry_matches(e)) {
+      matches.emplace_back(e.min_time, pending_front_order_ + i);
     }
+  }
+  const size_t keep = std::min(limit, matches.size());
+  if (newest_first) {
+    std::partial_sort(matches.begin(), matches.begin() + keep, matches.end(),
+                      [](const auto& a, const auto& b) {
+                        return a.second > b.second;
+                      });
+  } else {
+    std::partial_sort(matches.begin(), matches.begin() + keep, matches.end());
+  }
+  matches.resize(keep);
+  out.reserve(keep);
+  for (const auto& [min_time, order] : matches) {
+    out.push_back(CandidateLocked(order));
+  }
+  return out;
+}
+
+std::vector<ColdTier::Candidate> ColdTier::CollectFragments(
+    const std::string& id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<Candidate> out;
+  // by_id_ is ordered: fragments of one id are contiguous and ascending.
+  for (auto it = by_id_.lower_bound(std::make_pair(id, 0u));
+       it != by_id_.end() && it->first.first == id; ++it) {
+    out.push_back(CandidateLocked(it->second));
   }
   return out;
 }
@@ -459,111 +493,32 @@ std::vector<ColdTier::Candidate> ColdTier::CollectRange(EventTime lo,
                                                         EventTime hi,
                                                         size_t limit) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Candidate> out;
-  if (limit == 0) {
-    return out;
-  }
-  // Index-only scan: (min_time, order) pairs first, ids only for the
-  // survivors — a RANGE over 100k cold sessions allocates 16 bytes per
-  // match, not a session copy.
-  std::vector<std::pair<EventTime, uint64_t>> matches;
-  for (const auto& segment : segments_) {
-    if (segment.index.min_time >= hi || segment.index.max_time < lo) {
-      continue;  // Footer time range excludes the whole segment.
-    }
-    for (size_t i = 0; i < segment.index.entries.size(); ++i) {
-      const auto& e = segment.index.entries[i];
-      if (e.min_time < hi && e.max_time >= lo) {
-        matches.emplace_back(e.min_time, segment.base_order + i);
-      }
-    }
-  }
-  for (size_t i = 0; i < pending_.size(); ++i) {
-    const auto& e = pending_[i];
-    if (e.min_time < hi && e.max_time >= lo) {
-      matches.emplace_back(e.min_time, pending_front_order_ + i);
-    }
-  }
-  const size_t keep = std::min(limit, matches.size());
-  std::partial_sort(matches.begin(), matches.begin() + keep, matches.end());
-  matches.resize(keep);
-  out.reserve(keep);
-  for (const auto& [min_time, order] : matches) {
-    uint32_t entry_index = 0;
-    const int seg = LocateLocked(order, &entry_index);
-    Candidate candidate;
-    candidate.min_time = min_time;
-    candidate.order = order;
-    if (seg < 0) {
-      candidate.id = pending_[entry_index].session.id;
-      candidate.fragment = pending_[entry_index].session.fragment_index;
-    } else {
-      const auto& e =
-          segments_[static_cast<size_t>(seg)].index.entries[entry_index];
-      candidate.id = e.id;
-      candidate.fragment = e.fragment;
-    }
-    out.push_back(std::move(candidate));
-  }
-  return out;
+  return CollectLocked(
+      [&](const ColdSegmentIndex& index) {
+        return index.min_time < hi && index.max_time >= lo;
+      },
+      [&](const auto& e) { return e.min_time < hi && e.max_time >= lo; },
+      limit, /*newest_first=*/false);
 }
 
 std::vector<ColdTier::Candidate> ColdTier::CollectByService(
     uint32_t service, size_t limit) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Candidate> out;
-  if (limit == 0 || service_counts_.count(service) == 0) {
-    return out;
+  if (service_counts_.count(service) == 0) {
+    return {};
   }
-  std::vector<std::pair<EventTime, uint64_t>> matches;  // (min_time, order)
-  for (const auto& segment : segments_) {
-    if (!std::binary_search(segment.index.service_counts.begin(),
-                            segment.index.service_counts.end(),
-                            std::make_pair(service, uint64_t{0}),
-                            [](const auto& a, const auto& b) {
-                              return a.first < b.first;
-                            })) {
-      continue;  // Footer service summary excludes the whole segment.
-    }
-    for (size_t i = 0; i < segment.index.entries.size(); ++i) {
-      const auto& e = segment.index.entries[i];
-      if (std::binary_search(e.services.begin(), e.services.end(), service)) {
-        matches.emplace_back(e.min_time, segment.base_order + i);
-      }
-    }
-  }
-  for (size_t i = 0; i < pending_.size(); ++i) {
-    const auto& e = pending_[i];
-    if (std::binary_search(e.services.begin(), e.services.end(), service)) {
-      matches.emplace_back(e.min_time, pending_front_order_ + i);
-    }
-  }
-  // Newest (highest order) first.
-  const size_t keep = std::min(limit, matches.size());
-  std::partial_sort(matches.begin(), matches.begin() + keep, matches.end(),
-                    [](const auto& a, const auto& b) {
-                      return a.second > b.second;
-                    });
-  matches.resize(keep);
-  out.reserve(keep);
-  for (const auto& [min_time, order] : matches) {
-    uint32_t entry_index = 0;
-    const int seg = LocateLocked(order, &entry_index);
-    Candidate candidate;
-    candidate.min_time = min_time;
-    candidate.order = order;
-    if (seg < 0) {
-      candidate.id = pending_[entry_index].session.id;
-      candidate.fragment = pending_[entry_index].session.fragment_index;
-    } else {
-      const auto& e =
-          segments_[static_cast<size_t>(seg)].index.entries[entry_index];
-      candidate.id = e.id;
-      candidate.fragment = e.fragment;
-    }
-    out.push_back(std::move(candidate));
-  }
-  return out;
+  return CollectLocked(
+      [&](const ColdSegmentIndex& index) {
+        return std::binary_search(
+            index.service_counts.begin(), index.service_counts.end(),
+            std::make_pair(service, uint64_t{0}),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+      },
+      [&](const auto& e) {
+        return std::binary_search(e.services.begin(), e.services.end(),
+                                  service);
+      },
+      limit, /*newest_first=*/true);
 }
 
 std::vector<std::pair<uint32_t, uint64_t>> ColdTier::ServiceCounts() const {

@@ -18,11 +18,12 @@
 // spill order. Eviction is strictly oldest-first and Append runs inside the
 // store's eviction critical section, so the cold orders form an exact prefix
 // of the store's insertion sequence: every cold session precedes every hot
-// one. Query merges rely on this — RANGE interleaves cold index candidates
-// with hot results by (min_time, order) and reproduces the exact bytes an
-// unbounded store would serve; SERVICE serves hot newest-first then cold
-// newest-first. On restart, segments are re-discovered by directory scan
-// (file order == spill order), so the sequence survives crashes.
+// one. The hot ∪ cold merge relies on this to reproduce the exact bytes an
+// unbounded store would serve; its rule (hot read first, hot copy wins on a
+// shared (id, fragment), RANGE cold-first on equal start times, frames read
+// only when emitted) lives in one place, src/store/tiered_reads.h. On
+// restart, segments are re-discovered by directory scan (file order ==
+// spill order), so the sequence survives crashes.
 //
 // Crash consistency. Segment writes are atomic (tmp+fsync+rename); pending
 // sessions lost to a crash are re-derived by the ts_ckpt replay and re-spill
@@ -171,11 +172,9 @@ class ColdTier {
   // Point read; counts a hit, a miss, or (on CRC damage) corrupt.
   std::optional<Session> Get(const std::string& id, uint32_t fragment);
 
-  // Every cold fragment of `id`, fragment-ascending. Damaged frames are
-  // skipped (counted), never returned wrong.
-  std::vector<Session> GetAllFragments(const std::string& id);
-
   // Index-only candidate scans — no session frame is read.
+  // Every cold fragment of `id`, fragment-ascending.
+  std::vector<Candidate> CollectFragments(const std::string& id) const;
   // Sessions intersecting [lo, hi), ordered by (min_time, order), ≤ limit.
   std::vector<Candidate> CollectRange(EventTime lo, EventTime hi,
                                       size_t limit) const;
@@ -214,6 +213,16 @@ class ColdTier {
   bool WantSpillLocked() const;
   // Locates `order` (mu_ held). Returns segment index, or -1 for pending.
   int LocateLocked(uint64_t order, uint32_t* entry_index) const;
+  // The candidate at spill order `order` (mu_ held).
+  Candidate CandidateLocked(uint64_t order) const;
+  // The scan behind CollectRange and CollectByService (mu_ held): entries
+  // that `entry_matches` accepts, in segments `segment_may_match` does not
+  // exclude, then pending; the first `limit` by (min_time, order), or by
+  // order descending when `newest_first`.
+  template <typename SegmentFilter, typename EntryFilter>
+  std::vector<Candidate> CollectLocked(SegmentFilter segment_may_match,
+                                       EntryFilter entry_matches, size_t limit,
+                                       bool newest_first) const;
 
   const ColdTierOptions options_;
 

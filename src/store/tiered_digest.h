@@ -4,11 +4,10 @@
 // session id are a pure function of the arrival stream. With a cold tier in
 // play those bytes come from the *union* of the hot window and the cold
 // segments, merged fragment-ascending with the hot copy preferred on overlap
-// (a session can be both hot and cold right after a restore: the snapshot
-// restored it hot while a pre-crash flush already made it durable cold) —
-// exactly how the query server answers FRAGMENTS. Digesting that merge in
-// sorted-id order with the same chaining as ChainedStoreDigest makes a
-// tiered store byte-comparable against an unbounded fault-free baseline.
+// — TieredFragments (src/store/tiered_reads.h), exactly what the query
+// server answers FRAGMENTS with. Digesting that merge in sorted-id order
+// with the same chaining as ChainedStoreDigest makes a tiered store
+// byte-comparable against an unbounded fault-free baseline.
 #ifndef SRC_STORE_TIERED_DIGEST_H_
 #define SRC_STORE_TIERED_DIGEST_H_
 
@@ -21,32 +20,9 @@
 #include "src/analytics/session_store.h"
 #include "src/core/session.h"
 #include "src/store/cold_tier.h"
+#include "src/store/tiered_reads.h"
 
 namespace ts {
-
-// Hot and cold fragments of one id, fragment-ascending, hot preferred on a
-// duplicate fragment index. Both inputs are already fragment-ascending.
-inline std::vector<Session> MergeTieredFragments(std::vector<Session> hot,
-                                                 std::vector<Session> cold) {
-  std::vector<Session> merged;
-  merged.reserve(hot.size() + cold.size());
-  size_t h = 0, c = 0;
-  while (h < hot.size() || c < cold.size()) {
-    if (c >= cold.size()) {
-      merged.push_back(std::move(hot[h++]));
-    } else if (h >= hot.size()) {
-      merged.push_back(std::move(cold[c++]));
-    } else if (hot[h].fragment_index <= cold[c].fragment_index) {
-      if (cold[c].fragment_index == hot[h].fragment_index) {
-        ++c;  // Overlap after restore: the hot copy wins.
-      }
-      merged.push_back(std::move(hot[h++]));
-    } else {
-      merged.push_back(std::move(cold[c++]));
-    }
-  }
-  return merged;
-}
 
 // Chained digest over hot ∪ cold, comparable to ChainedStoreDigest of an
 // unbounded store holding the same sessions. `ids` must cover both tiers
@@ -59,8 +35,7 @@ inline uint64_t TieredDigest(const SessionStore& store, ColdTier& cold,
   uint64_t digest = 0;
   uint64_t merged_count = 0;
   for (const auto& id : ids) {
-    const std::vector<Session> merged = MergeTieredFragments(
-        store.GetAllFragments(id), cold.GetAllFragments(id));
+    const std::vector<Session> merged = TieredFragments(store, &cold, id);
     for (const auto& s : merged) {
       digest ^= SessionDigest(s, &canon);
       digest = SipHash24(digest);

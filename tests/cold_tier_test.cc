@@ -2,8 +2,9 @@
 // round-trips, the damage-tolerance property (every-byte corruption and
 // every-boundary truncation degrade to a cold miss — never a crash, never a
 // wrong answer), restart re-discovery, byte-identity of tiered query serving
-// against an unbounded reference store, and the RANGE response-budget
-// regression over a 100k-session cold tier.
+// against an unbounded reference store (also when a session sits in both
+// tiers), reads racing eviction, and the RANGE response-budget regression
+// over a 100k-session cold tier.
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -752,6 +753,201 @@ TEST(ColdTierServer, TopkDoesNotDoubleCountPostRestoreOverlap) {
   ASSERT_TRUE(response.ok) << response.error;
   const std::vector<std::pair<uint32_t, uint64_t>> expected = {{1, 2}, {2, 2}};
   EXPECT_EQ(response.top, expected);  // Not {1,3},{2,3}: BOTH counted once.
+}
+
+TEST(ColdTierServer, EveryVerbServesAPostRestoreOverlapOnceAsTheHotCopy) {
+  // Post-restore a session can be hot AND durable cold at once. GET,
+  // FRAGMENTS, SERVICE and RANGE must each serve it exactly once, as the hot
+  // copy, with the bytes of an unbounded store that holds each session once.
+  // The cold twin carries a different payload, so serving it would show.
+  ScratchDir dir("overlap");
+  ColdTierOptions cold_options;
+  cold_options.dir = dir.path();
+  cold_options.segment_target_bytes = 1u << 20;
+  auto cold = std::make_shared<ColdTier>(cold_options);
+  ASSERT_TRUE(cold->Start());
+
+  const EventTime ms = kNanosPerMilli;
+  const Session both_hot = MakeSession("BOTH", ms, 2 * ms, {1, 2}, 0, 16);
+  const Session both_cold = MakeSession("BOTH", ms, 2 * ms, {1, 2}, 0, 4);
+  const std::vector<Session> cold_only = {
+      MakeSession("C0", 0, ms, {1}),
+      MakeSession("C2", 2 * ms, 3 * ms, {2}),
+      MakeSession("BOTH", 5 * ms, 6 * ms, {1}, 1),
+  };
+  const std::vector<Session> hot_only = {
+      MakeSession("BOTH", 6 * ms, 7 * ms, {2}, 2),
+      MakeSession("H2", 2 * ms, 4 * ms, {2}),  // Ties C2: cold goes first.
+      MakeSession("H1", 3 * ms, 4 * ms, {1}),
+  };
+  // Spill order: C0, the twin (tied on start time with its hot copy, so
+  // RANGE meets the cold one first), C2, BOTH/1.
+  cold->Append(Session(cold_only[0]));
+  cold->Append(Session(both_cold));
+  cold->Append(Session(cold_only[1]));
+  cold->Append(Session(cold_only[2]));
+  ASSERT_TRUE(cold->FlushPending());
+
+  TieredServerFixture tiered({}, {}, cold);  // Hot budget: nothing evicts.
+  tiered.store->Insert(Session(both_hot));   // The restored hot copy.
+  for (const auto& s : hot_only) {
+    tiered.store->Insert(Session(s));
+  }
+  ASSERT_TRUE(tiered.store->Contains("BOTH", 0));
+  ASSERT_TRUE(cold->Contains("BOTH", 0));
+
+  SessionStore::Options unbounded;
+  unbounded.max_bytes = 1ull << 30;
+  TieredServerFixture reference({}, unbounded, nullptr);
+  for (const auto& s : cold_only) {
+    reference.store->Insert(Session(s));
+  }
+  reference.store->Insert(Session(both_hot));
+  for (const auto& s : hot_only) {
+    reference.store->Insert(Session(s));
+  }
+
+  const std::vector<std::string> requests = {
+      "GET BOTH 0",         "FRAGMENTS BOTH",          "SERVICE 1 1000",
+      "SERVICE 2 1000",     "SERVICE 1 3",             "SERVICE 1 2",
+      "RANGE 0 999999999 1000", "RANGE 0 999999999 3", "RANGE 1000000 1000001 10",
+  };
+  RawConn ref_conn(reference.server->port());
+  RawConn tier_conn(tiered.server->port());
+  auto client = tiered.Client();
+  const std::string hot_block = EncodeSessionBlock(both_hot);
+  for (const auto& request : requests) {
+    EXPECT_EQ(tier_conn.Request(request), ref_conn.Request(request))
+        << request;
+    QueryResponse response;
+    ASSERT_TRUE(client.Execute(request, &response)) << request;
+    ASSERT_TRUE(response.ok) << request << ": " << response.error;
+    int copies = 0;
+    for (const auto& s : response.sessions) {
+      if (s.id == "BOTH" && s.fragment_index == 0) {
+        ++copies;
+        EXPECT_EQ(EncodeSessionBlock(s), hot_block) << request;
+      }
+    }
+    EXPECT_EQ(copies, 1) << request;
+  }
+}
+
+TEST(ColdTierStress, ReadersDuringEvictionNeverRepeatOrLoseAFragment) {
+  // Writers insert into a budgeted store that evicts on nearly every insert
+  // while a reader queries SERVICE, RANGE and FRAGMENTS through the server.
+  // No reply may hold an (id, fragment) twice, and FRAGMENTS must return
+  // every fragment of its id inserted before the request was sent.
+  ScratchDir dir("readers");
+  ColdTierOptions cold_options;
+  cold_options.dir = dir.path();
+  cold_options.segment_target_bytes = 8u << 10;  // Many small segments.
+  auto cold = std::make_shared<ColdTier>(cold_options);
+  ASSERT_TRUE(cold->Start());
+  SessionStore::Options store_options;
+  store_options.max_bytes = 8u << 10;
+  TieredServerFixture tiered({}, store_options, cold);
+
+  constexpr int kWriters = 2;
+  constexpr int kFragments = 3;
+  constexpr int kRounds = 300;
+  constexpr int kPerRound = 10;
+  // published[w] == n: writer w has inserted its first n sessions, fragment
+  // f of its id k being session k * kFragments + f. Each writer stays at
+  // most kPerRound sessions ahead of the reader's round, so the writes are
+  // spread over the whole read loop and every round races eviction.
+  std::atomic<int> published[kWriters] = {};
+  std::atomic<int> reader_round{-1};
+  std::atomic<bool> stop{false};
+  auto id_of = [](int w, int k) {
+    return "W" + std::to_string(w) + "-" + std::to_string(k);
+  };
+  std::vector<std::thread> writers;
+  struct StopWriters {  // However the read loop ends.
+    std::atomic<bool>& stop;
+    std::vector<std::thread>& writers;
+    ~StopWriters() {
+      stop.store(true);
+      for (auto& t : writers) {
+        t.join();
+      }
+    }
+  } stop_writers{stop, writers};
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (int n = 0; n < kRounds * kPerRound; ++n) {
+        while (n >= (reader_round.load() + 1) * kPerRound) {
+          if (stop.load()) {
+            return;
+          }
+          std::this_thread::yield();
+        }
+        const int k = n / kFragments;
+        const auto start = static_cast<EventTime>(n) * kNanosPerMilli;
+        tiered.store->Insert(MakeSession(
+            id_of(w, k), start, start + kNanosPerMilli / 2,
+            {static_cast<uint32_t>(w), 10 + static_cast<uint32_t>(n % 4)},
+            static_cast<uint32_t>(n % kFragments)));
+        published[w].store(n + 1, std::memory_order_release);
+      }
+    });
+  }
+
+  auto client = tiered.Client();
+  auto no_repeats = [](const QueryResponse& response,
+                       const std::string& request) {
+    std::set<std::pair<std::string, uint32_t>> seen;
+    for (const auto& s : response.sessions) {
+      EXPECT_TRUE(seen.emplace(s.id, s.fragment_index).second)
+          << request << " repeats " << s.id << "/" << s.fragment_index;
+    }
+  };
+  uint64_t fragments_checked = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    reader_round.store(round);
+    const int w = round % kWriters;
+    const int n = published[w].load(std::memory_order_acquire);
+    const EventTime recent =
+        static_cast<EventTime>(std::max(0, n - 40)) * kNanosPerMilli;
+    const std::vector<std::string> requests = {
+        "SERVICE " + std::to_string(w) + " 50",
+        "SERVICE " + std::to_string(10 + round % 4) + " 40",
+        "RANGE 0 999999999999 60",
+        "RANGE " + std::to_string(recent) + " 999999999999 80",
+    };
+    for (const auto& request : requests) {
+      QueryResponse response;
+      ASSERT_TRUE(client.Execute(request, &response)) << request;
+      ASSERT_TRUE(response.ok) << request << ": " << response.error;
+      no_repeats(response, request);
+    }
+    if (n == 0) {
+      continue;
+    }
+    // An id whose fragments [0, expected) were all inserted before the
+    // request went out: on even rounds one at the hot/cold boundary, on odd
+    // rounds an older one.
+    const int newest = (n - 1) / kFragments;
+    const int k = round % 2 == 0 ? std::max(0, newest - round % 8)
+                                 : (round * 7) % (newest + 1);
+    const int expected = std::min(kFragments, n - k * kFragments);
+    const std::string request = "FRAGMENTS " + id_of(w, k);
+    QueryResponse response;
+    ASSERT_TRUE(client.Execute(request, &response)) << request;
+    ASSERT_TRUE(response.ok) << request << ": " << response.error;
+    no_repeats(response, request);
+    ASSERT_GE(response.sessions.size(), static_cast<size_t>(expected))
+        << request;
+    for (int f = 0; f < expected; ++f) {
+      EXPECT_EQ(response.sessions[static_cast<size_t>(f)].fragment_index,
+                static_cast<uint32_t>(f))
+          << request;
+    }
+    ++fragments_checked;
+  }
+  EXPECT_GT(fragments_checked, 0u);
+  EXPECT_GT(tiered.store->stats().evicted, 0u);
+  EXPECT_GT(cold->stats().hits, 0u);
 }
 
 TEST(ColdTierRangeBudget, HundredThousandSessionColdTierStreamsWithinBudget) {

@@ -27,7 +27,7 @@
 //                     closed incrementally by event-time watermark as the
 //                     stream flows (subscribers live-tail them), and the
 //                     process keeps serving after end of stream until
-//                     SIGINT/SIGTERM
+//                     SIGINT/SIGTERM. PORT 0 binds an ephemeral port.
 //   --store_mb=N      SessionStore eviction budget (default 256 MiB)
 //   --cold-dir=D      (with --serve) tiered store: sessions evicted from the
 //                     hot window spill to cold segment files under D (the
@@ -41,6 +41,7 @@
 //                     worker threads, hash-partitioned by SipHash(session id)
 //                     — the paper's Exchange PACT (default: hardware threads).
 //                     Closed-session output is byte-identical for every N.
+//                     At most 1024.
 //   --shed-policy=oldest-open
 //                     (with --connect --serve) opt-in overload shedding: a
 //                     shard queue blocked longer than --shed_stall_ms drops
@@ -72,6 +73,7 @@
 //                     unmodified pipeline. fault_disk_* gauges appear in
 //                     STATS. See docs/FAULT_TESTING.md.
 #include <csignal>
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -115,10 +117,19 @@ bool HasFlag(int argc, char** argv, const char* name) {
   return false;
 }
 
+// Upper bounds on the numeric flags. A MiB count stays clear of overflow in
+// its `<< 20`, a duration stays far inside int64 nanoseconds, and --workers
+// cannot ask for an absurd number of shard threads.
+constexpr double kMaxMiB = 1 << 20;   // 1 TiB.
+constexpr double kMaxSeconds = 1e6;   // ~11.6 days.
+constexpr double kMaxCount = 1e6;
+constexpr double kMaxWorkers = 1024;
+
 // Reads a numeric flag. Every numeric flag is a size, count or duration, so
-// a malformed, negative or non-finite value is rejected with exit code 2
-// rather than aborting on an exception or wrapping around in a size_t cast.
-double Flag(int argc, char** argv, const char* name, double fallback) {
+// a malformed, negative, non-finite or above-`max` value is rejected with
+// exit code 2 rather than aborting on an exception or overflowing a cast.
+double Flag(int argc, char** argv, const char* name, double fallback,
+            double max) {
   const char* text = FlagStr(argc, argv, name);
   if (text == nullptr) {
     return fallback;
@@ -127,12 +138,27 @@ double Flag(int argc, char** argv, const char* name, double fallback) {
   errno = 0;
   const double value = std::strtod(text, &end);
   if (end == text || *end != '\0' || errno == ERANGE ||
-      !std::isfinite(value) || value < 0) {
-    std::fprintf(stderr, "bad %s=%s (want a non-negative number)\n", name,
-                 text);
+      !std::isfinite(value) || value < 0 || value > max) {
+    std::fprintf(stderr, "bad %s=%s (want a number in [0, %.0f])\n", name,
+                 text, max);
     std::exit(2);
   }
   return value;
+}
+
+// Reads --serve's bare PORT form: decimal digits, at most 65535 (0 asks for
+// an ephemeral port). Anything else exits 2, as a bad numeric flag does.
+uint16_t ServePort(const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long value = std::strtoul(text, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+      errno == ERANGE || value > 65535) {
+    std::fprintf(stderr, "bad --serve=%s (want a port in [0, 65535])\n",
+                 text);
+    std::exit(2);
+  }
+  return static_cast<uint16_t>(value);
 }
 
 // Bound on the records one poll may deliver, so a stalled shard queue
@@ -156,11 +182,12 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
 
-  // Every numeric flag is read before anything starts, so a malformed or
-  // negative value exits 2 with nothing to unwind.
+  // Every numeric flag is read before anything starts, so a malformed,
+  // negative or out-of-range value exits 2 with nothing to unwind.
   const EventTime inactivity_ns = static_cast<EventTime>(
-      Flag(argc, argv, "--inactivity_s", 0) * kNanosPerSecond);
-  const size_t top = static_cast<size_t>(Flag(argc, argv, "--top", 10));
+      Flag(argc, argv, "--inactivity_s", 0, kMaxSeconds) * kNanosPerSecond);
+  const size_t top =
+      static_cast<size_t>(Flag(argc, argv, "--top", 10, kMaxCount));
   const char* serve_spec = FlagStr(argc, argv, "--serve");
   const char* connect_spec = FlagStr(argc, argv, "--connect");
   const char* cold_dir = FlagStr(argc, argv, "--cold-dir");
@@ -169,26 +196,29 @@ int main(int argc, char** argv) {
 
   LiveNodeOptions node_options;
   node_options.store.max_bytes =
-      static_cast<size_t>(Flag(argc, argv, "--store_mb", 256)) << 20;
+      static_cast<size_t>(Flag(argc, argv, "--store_mb", 256, kMaxMiB)) << 20;
   ColdTierOptions cold_options;
   cold_options.segment_target_bytes =
-      static_cast<size_t>(Flag(argc, argv, "--cold_segment_mb", 4)) << 20;
+      static_cast<size_t>(Flag(argc, argv, "--cold_segment_mb", 4, kMaxMiB))
+      << 20;
   CheckpointerOptions ckpt_options;
   ckpt_options.retain =
-      static_cast<size_t>(Flag(argc, argv, "--ckpt_retain", 3));
+      static_cast<size_t>(Flag(argc, argv, "--ckpt_retain", 3, kMaxCount));
   ckpt_options.interval_ms = static_cast<int64_t>(
-      Flag(argc, argv, "--ckpt_interval_s", 2.0) * 1000);
+      Flag(argc, argv, "--ckpt_interval_s", 2.0, kMaxSeconds) * 1000);
   SocketIngestOptions ingest;
-  ingest.stream = static_cast<size_t>(Flag(argc, argv, "--stream", 0));
-  ingest.num_streams = static_cast<size_t>(Flag(argc, argv, "--streams", 1));
+  ingest.stream =
+      static_cast<size_t>(Flag(argc, argv, "--stream", 0, kMaxCount));
+  ingest.num_streams =
+      static_cast<size_t>(Flag(argc, argv, "--streams", 1, kMaxCount));
   ingest.max_records_per_poll = kMaxRecordsPerPoll;
   // Live path: parse + sessionize sharded across --workers threads,
   // hash-partitioned by session id; sessions close incrementally as the
   // watermark advances.
   LivePipelineOptions& pipe_options = node_options.pipeline;
   const unsigned hw = std::thread::hardware_concurrency();
-  pipe_options.workers =
-      static_cast<size_t>(Flag(argc, argv, "--workers", hw > 0 ? hw : 1));
+  pipe_options.workers = static_cast<size_t>(
+      Flag(argc, argv, "--workers", hw > 0 ? hw : 1, kMaxWorkers));
   pipe_options.inactivity_ns =
       inactivity_ns > 0 ? inactivity_ns : kDefaultLiveInactivityNs;
   pipe_options.mine_templates = mine_templates;
@@ -196,9 +226,11 @@ int main(int argc, char** argv) {
     if (std::string_view(policy) == "oldest-open") {
       pipe_options.shed_policy = ShedPolicy::kOldestOpen;
       pipe_options.shed_open_bytes =
-          static_cast<size_t>(Flag(argc, argv, "--shed_open_mb", 32)) << 20;
+          static_cast<size_t>(Flag(argc, argv, "--shed_open_mb", 32, kMaxMiB))
+          << 20;
       pipe_options.shed_stall_limit_ms =
-          static_cast<int64_t>(Flag(argc, argv, "--shed_stall_ms", 100));
+          static_cast<int64_t>(Flag(argc, argv, "--shed_stall_ms", 100,
+                                    kMaxSeconds * 1000));
     } else if (std::string_view(policy) != "none") {
       std::fprintf(stderr, "unknown --shed-policy=%s (none|oldest-open)\n",
                    policy);
@@ -219,7 +251,7 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else {
-      query.port = static_cast<uint16_t>(std::atoi(serve_spec));
+      query.port = ServePort(serve_spec);
     }
   }
 

@@ -125,6 +125,7 @@ LiveNodeOptions ConsumerOptions(const StudyConfig& config,
   options.ingest->max_records_per_poll = 4096;
   options.pipeline.workers = config.workers;
   options.pipeline.inactivity_ns = config.inactivity_ns;
+  options.query.emplace();  // Ephemeral port, for the close subscriber.
   return options;
 }
 

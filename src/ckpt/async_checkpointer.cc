@@ -7,6 +7,20 @@
 #include "src/ckpt/live_checkpoint.h"
 
 namespace ts {
+namespace {
+
+// The final snapshot's budget. Its barrier gets this many before_write calls
+// to drain: a tiered store's FlushPending returns false at the first spill
+// failure while its spill thread keeps retrying, and each false return is at
+// least one consumed fault or shed batch, so a finite fault window drains
+// within them. One that never drains is not published.
+constexpr int kFinalBarrierTries = 100;
+// Then this many write attempts, backing off kFinalBackoffMs << attempt,
+// without jitter.
+constexpr int kFinalWriteAttempts = 6;
+constexpr int64_t kFinalBackoffMs = 100;
+
+}  // namespace
 
 AsyncCheckpointer::AsyncCheckpointer(Checkpointer* checkpointer,
                                      LivePipeline* pipeline,
@@ -39,6 +53,10 @@ bool AsyncCheckpointer::MaybeCheckpoint(uint64_t resume_offset) {
 }
 
 bool AsyncCheckpointer::RequestCheckpoint(uint64_t resume_offset) {
+  return Begin(resume_offset, /*final=*/false);
+}
+
+bool AsyncCheckpointer::Begin(uint64_t resume_offset, bool final) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (in_flight_) {
@@ -56,6 +74,7 @@ bool AsyncCheckpointer::RequestCheckpoint(uint64_t resume_offset) {
     std::lock_guard<std::mutex> lock(mu_);
     ticket_ = std::move(ticket);
     ticket_resume_offset_ = resume_offset;
+    ticket_final_ = final;
     in_flight_ = true;
   }
   ++started_;
@@ -68,10 +87,22 @@ void AsyncCheckpointer::Drain() {
   cv_.wait(lock, [this] { return !in_flight_; });
 }
 
+AsyncCheckpointer::Final AsyncCheckpointer::WriteFinal(
+    uint64_t resume_offset) {
+  Drain();
+  if (!Begin(resume_offset, /*final=*/true)) {
+    return Final::kNotTaken;
+  }
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [this] { return !in_flight_; });
+  return last_outcome_;
+}
+
 void AsyncCheckpointer::WriterLoop() {
   for (;;) {
     LivePipeline::CheckpointTicket ticket;
     uint64_t resume_offset = 0;
+    bool final = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stop_ || ticket_ != nullptr; });
@@ -80,6 +111,7 @@ void AsyncCheckpointer::WriterLoop() {
       }
       ticket = std::move(ticket_);
       resume_offset = ticket_resume_offset_;
+      final = ticket_final_;
     }
     CheckpointState state;
     state.resume_offset = resume_offset;
@@ -121,8 +153,8 @@ void AsyncCheckpointer::WriterLoop() {
         },
         // Open fragments mutate between snapshots, so they cannot be cached
         // like store frames — but the visitor serializes each one exactly
-        // once, straight into the output buffer, skipping the deep copy (and
-        // its per-fragment allocations) ExportState would make.
+        // once, straight into the output buffer, with no deep copy (and none
+        // of its per-fragment allocations).
         [this, &open_count](const std::string& id, EventTime last_time,
                             const std::vector<LogRecord>& records) {
           open_encoder_.Append(id, last_time, records, &open_frames_);
@@ -148,44 +180,56 @@ void AsyncCheckpointer::WriterLoop() {
     // back through Checkpointer::Write, which re-encodes the retained state
     // into a brand-new tmp fd: after a failed fsync the old fd and its tmp
     // file are already discarded (fsyncgate), never re-fsynced.
-    const int retry_limit = options_.write_retry_limit < 1
-                                ? 1
-                                : options_.write_retry_limit;
-    bool wrote = false;
+    //
+    // The final snapshot takes the same path under a larger budget (the
+    // constants above): its barrier rides out the spill thread's own
+    // retries, a barrier that never drains ends it unpublished, and its
+    // backoff has no jitter.
+    const int retry_limit =
+        final ? kFinalWriteAttempts : std::max(options_.write_retry_limit, 1);
+    const int64_t backoff_ms =
+        final ? kFinalBackoffMs : options_.write_retry_backoff_ms;
+    Final outcome = Final::kWriteFailed;
     for (int attempt = 0; attempt < retry_limit; ++attempt) {
-      const bool barrier_ok =
-          !options_.before_write || options_.before_write();
+      bool barrier_ok = !options_.before_write;
+      for (int t = 0; !barrier_ok && t < (final ? kFinalBarrierTries : 1);
+           ++t) {
+        barrier_ok = options_.before_write();
+      }
       if (barrier_ok &&
           checkpointer_->Write(
               state, open_frames_, open_count,
               std::string_view(cached_frames_).substr(cached_front_),
               cached_frame_sizes_.size())) {
-        wrote = true;
+        outcome = Final::kWritten;
         break;
       }
+      outcome = barrier_ok ? Final::kWriteFailed : Final::kBarrierFailed;
       write_failures_.fetch_add(1, std::memory_order_relaxed);
       if (!degraded_.exchange(true, std::memory_order_relaxed)) {
         degraded_entries_.fetch_add(1, std::memory_order_relaxed);
       }
-      if (attempt + 1 >= retry_limit) {
+      if (attempt + 1 >= retry_limit || (final && !barrier_ok)) {
         break;
       }
-      const int64_t base = std::min<int64_t>(
-          options_.write_retry_backoff_ms << std::min(attempt, 5), 2000);
-      const int64_t sleep_ms =
-          base + static_cast<int64_t>(
-                     backoff_rng_.NextBelow(static_cast<uint64_t>(base) + 1));
+      const int64_t base =
+          std::min<int64_t>(backoff_ms << std::min(attempt, 5), 2000);
+      const int64_t jitter =
+          final ? 0
+                : static_cast<int64_t>(
+                      backoff_rng_.NextBelow(static_cast<uint64_t>(base) + 1));
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait_for(lock, std::chrono::milliseconds(sleep_ms),
+      cv_.wait_for(lock, std::chrono::milliseconds(base + jitter),
                    [this] { return stop_; });
     }
-    if (wrote) {
+    if (outcome == Final::kWritten) {
       degraded_.store(false, std::memory_order_relaxed);  // Disk healed.
     } else {
       snapshots_dropped_.fetch_add(1, std::memory_order_relaxed);
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
+      last_outcome_ = outcome;
       in_flight_ = false;
     }
     cv_.notify_all();

@@ -1,4 +1,5 @@
-// AsyncCheckpointer: keeps periodic snapshots off the ingest hot path.
+// AsyncCheckpointer: keeps every snapshot — the periodic ones and the final
+// one of a graceful shutdown (WriteFinal) — off the ingest hot path.
 //
 // A synchronous CaptureLiveCheckpoint + Checkpointer::Write costs O(live
 // state) on the ingest thread — deep-copying the SessionStore, wire-
@@ -83,6 +84,9 @@ class AsyncCheckpointer {
     int64_t write_retry_backoff_ms = 50;
   };
 
+  // How the final snapshot ended.
+  enum class Final { kNotTaken, kWritten, kBarrierFailed, kWriteFailed };
+
   // All pointees must outlive this object. The Checkpointer must not be
   // written to by any other thread between construction and Drain().
   AsyncCheckpointer(Checkpointer* checkpointer, LivePipeline* pipeline,
@@ -104,6 +108,14 @@ class AsyncCheckpointer {
 
   // Blocks until no snapshot is in flight (the last Write has returned).
   void Drain();
+
+  // Ingest thread, after the last Feed/Flush and before
+  // LivePipeline::Finish(): drains, then takes one more snapshot at
+  // `resume_offset` through the same barrier, visitor and store-frame cache,
+  // with a larger retry budget (the disk may still be inside a fault window,
+  // and nothing after the last record has proven it healthy), and waits until
+  // it is written or dropped. kNotTaken if the pipeline is finished.
+  Final WriteFinal(uint64_t resume_offset);
 
   // Ingest-thread accessors (same thread that calls MaybeCheckpoint).
   uint64_t snapshots_started() const { return started_; }
@@ -128,6 +140,9 @@ class AsyncCheckpointer {
                        const std::string& prefix = "ckpt_") const;
 
  private:
+  // Begins a snapshot and hands it to the writer; false if one is in flight
+  // or the pipeline is finished.
+  bool Begin(uint64_t resume_offset, bool final);
   void WriterLoop();
 
   Checkpointer* const checkpointer_;
@@ -139,6 +154,8 @@ class AsyncCheckpointer {
   std::condition_variable cv_;
   LivePipeline::CheckpointTicket ticket_;  // Pending hand-off to the writer.
   uint64_t ticket_resume_offset_ = 0;
+  bool ticket_final_ = false;
+  Final last_outcome_ = Final::kNotTaken;  // Of the last settled snapshot.
   bool in_flight_ = false;  // Begin happened, Write not yet returned.
   bool stop_ = false;
   uint64_t started_ = 0;       // Ingest-thread-owned.

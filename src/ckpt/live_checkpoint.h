@@ -1,40 +1,21 @@
-// Glue between the Checkpointer and the live pipeline objects: one call to
-// capture a barrier-aligned CheckpointState from a running
-// LivePipeline + SessionStore, and one to restore it into freshly
-// constructed ones. Shared by tools/ts_sessionize, the crash-recovery
-// conformance suite, and bench/fig5_live_scaling's checkpoint-overhead mode.
+// Glue between the Checkpointer and the live pipeline objects. Snapshots are
+// taken by AsyncCheckpointer alone — periodic ones and LiveNode's final one
+// on shutdown — which fills a CheckpointState from a collected barrier with
+// FillFromPipelineCheckpoint. RestoreLiveCheckpoint loads one into a freshly
+// constructed LivePipeline + SessionStore; LiveNode::Start, the crash and
+// checkpoint suites and perfbench all restore through it.
 #ifndef SRC_CKPT_LIVE_CHECKPOINT_H_
 #define SRC_CKPT_LIVE_CHECKPOINT_H_
 
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "src/analytics/session_store.h"
 #include "src/ckpt/checkpoint.h"
 #include "src/core/live_pipeline.h"
 
 namespace ts {
-
-// Captures a consistent snapshot. Must run on the ingest thread (it drives
-// the pipeline barrier), with `resume_offset` equal to the count of records
-// already fed — i.e. after the polled batch has been fully fed and flushed,
-// pass SocketIngestSource::records_received(). The store export happens
-// after the barrier completes, so it contains exactly the sessions closed by
-// the arrival prefix [0, resume_offset).
-// Copies the store's sessions and insert/evict counters into `state`. Must
-// run at a moment when no sink call can fire — on the ingest thread right
-// after a synchronous CaptureCheckpoint (no post-barrier batches exist yet),
-// or inside CollectCheckpoint's while_paused hook (every shard is parked at
-// the barrier) — so the copy holds exactly the sessions closed by the
-// barrier prefix.
-inline void ExportStoreSection(const SessionStore& store,
-                               CheckpointState* state) {
-  const SessionStore::Stats stats = store.stats();
-  state->store_inserted = stats.inserted;
-  state->store_evicted = stats.evicted;
-  state->store_sessions.reserve(stats.sessions);
-  store.ForEachSession(
-      [state](const Session& s) { state->store_sessions.push_back(s); });
-}
 
 // Merges a collected PipelineCheckpoint into `state` (counters, watermark,
 // closer state). Base counters from a restored snapshot are the caller's to
@@ -49,6 +30,12 @@ inline void FillFromPipelineCheckpoint(PipelineCheckpoint&& pipeline_state,
   state->miner = std::move(pipeline_state.miner);
 }
 
+// A synchronous deep copy of the same barrier-aligned state, for
+// perfbench's pb_trace, which writes it with Checkpointer::Write. Every
+// program path snapshots through AsyncCheckpointer instead, which serializes
+// the open fragments and store frames without copying them. Runs on the
+// ingest thread, before Finish(), with `resume_offset` equal to the count of
+// records already fed.
 inline CheckpointState CaptureLiveCheckpoint(LivePipeline* pipeline,
                                              const SessionStore& store,
                                              uint64_t resume_offset,
@@ -56,8 +43,23 @@ inline CheckpointState CaptureLiveCheckpoint(LivePipeline* pipeline,
   CheckpointState state;
   state.resume_offset = resume_offset;
   state.stream = stream;
-  FillFromPipelineCheckpoint(pipeline->CaptureCheckpoint(), &state);
-  ExportStoreSection(store, &state);
+  std::vector<LiveCloserState::OpenFragment> open;
+  PipelineCheckpoint pipeline_state = pipeline->CollectCheckpoint(
+      pipeline->BeginCheckpoint(),
+      [&store, &state] {
+        const SessionStore::Stats stats = store.stats();
+        state.store_inserted = stats.inserted;
+        state.store_evicted = stats.evicted;
+        state.store_sessions.reserve(stats.sessions);
+        store.ForEachSession(
+            [&state](const Session& s) { state.store_sessions.push_back(s); });
+      },
+      [&open](const std::string& id, EventTime last_time,
+              const std::vector<LogRecord>& records) {
+        open.push_back({id, last_time, records});
+      });
+  FillFromPipelineCheckpoint(std::move(pipeline_state), &state);
+  state.closers.open = std::move(open);
   return state;
 }
 

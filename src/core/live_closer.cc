@@ -10,8 +10,7 @@ void LiveCloser::Feed(LogRecord record, EventTime at,
   ObserveWatermark(at);
   auto [it, inserted] = open_.try_emplace(record.session_id);
   Open& open = it->second;
-  if (!inserted && !open.records.empty() &&
-      open.last_time + inactivity_ns_ <= watermark_) {
+  if (!inserted && !open.records.empty() && Expired(open.last_time)) {
     // The open fragment expired before this record arrived: emit it and start
     // the next fragment. Doing this here, at record granularity, is what keeps
     // fragment boundaries independent of CloseExpired cadence and shard count.
@@ -19,10 +18,12 @@ void LiveCloser::Feed(LogRecord record, EventTime at,
     // already due, and the next CloseExpired re-arms it for the new fragment.
     Emit(it->first, &open, closed);
     open.records.clear();
-    open.last_time = 0;
   }
-  open.first_time = open.records.empty() ? at : std::min(open.first_time, at);
-  open.last_time = std::max(open.last_time, at);
+  // A fresh fragment takes its first key as is: a default of 0 would pin
+  // last_time at 0 for negative keys.
+  const bool fresh = open.records.empty();
+  open.first_time = fresh ? at : std::min(open.first_time, at);
+  open.last_time = fresh ? at : std::max(open.last_time, at);
   // A record joining an open fragment only raises last_time, which keeps the
   // candidate's key a lower bound: no heap work on that path.
   if (inserted) {
@@ -34,12 +35,11 @@ void LiveCloser::Feed(LogRecord record, EventTime at,
 }
 
 void LiveCloser::CloseExpired(std::vector<Session>* closed) {
-  while (!expiry_.empty() &&
-         expiry_.front().last_time + inactivity_ns_ <= watermark_) {
+  while (!expiry_.empty() && Expired(expiry_.front().last_time)) {
     ++expiry_visited_;
     OpenMap::value_type* fragment = expiry_.front().fragment;
     Open& open = fragment->second;
-    if (open.last_time + inactivity_ns_ <= watermark_) {
+    if (Expired(open.last_time)) {
       Emit(fragment->first, &open, closed);
       Disarm(0);
       open_.erase(open_.find(fragment->first));
@@ -56,18 +56,6 @@ void LiveCloser::FlushAll(std::vector<Session>* closed) {
   }
   open_.clear();
   expiry_.clear();
-}
-
-void LiveCloser::ExportState(LiveCloserState* state) const {
-  state->open.reserve(state->open.size() + open_.size());
-  for (const auto& [id, open] : open_) {
-    LiveCloserState::OpenFragment fragment;
-    fragment.id = id;
-    fragment.last_time = open.last_time;
-    fragment.records = open.records;
-    state->open.push_back(std::move(fragment));
-  }
-  ExportCounters(state);
 }
 
 void LiveCloser::VisitOpenFragments(const OpenFragmentVisitor& fn) const {

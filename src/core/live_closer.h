@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -71,6 +72,12 @@ struct LiveCloserState {
 
 class LiveCloser {
  public:
+  // A window no idle gap reaches: fragments close only at FlushAll, one per
+  // session id (the offline job's grouping without an inactivity split).
+  static constexpr EventTime kNoIdleSplit =
+      std::numeric_limits<EventTime>::max();
+
+  // `inactivity_ns` >= 0, or kNoIdleSplit.
   explicit LiveCloser(EventTime inactivity_ns)
       : inactivity_ns_(inactivity_ns) {}
 
@@ -109,21 +116,18 @@ class LiveCloser {
   // Emits every still-open fragment (end of stream).
   void FlushAll(std::vector<Session>* closed);
 
-  // Appends a copy of this closer's open fragments and fragment counters to
-  // *state (merge-friendly: a barrier collects every shard into one state).
-  void ExportState(LiveCloserState* state) const;
-
-  // Zero-copy capture path (ts_ckpt's async writer): visits every open
-  // fragment by reference instead of deep-copying it, in unspecified order —
-  // the same order guarantee ExportState gives, since both walk a hash map.
-  // The closer must be quiescent for the duration (checkpoint barrier pause).
+  // Checkpoint capture (ts_ckpt's async writer): visits every open fragment
+  // by reference, in unspecified order (a hash-map walk), so the writer
+  // serializes each one straight into its output without a deep copy. The
+  // closer must be quiescent for the duration (checkpoint barrier pause).
   using OpenFragmentVisitor = std::function<void(
       const std::string& id, EventTime last_time,
       const std::vector<LogRecord>& records)>;
   void VisitOpenFragments(const OpenFragmentVisitor& fn) const;
 
-  // The fragment-counter half of ExportState alone (the counters are small;
-  // visitor-path callers still take them by copy).
+  // Appends this closer's fragment counters to *state (merge-friendly: a
+  // barrier collects every shard into one state; the counters are small and
+  // taken by copy).
   void ExportCounters(LiveCloserState* state) const;
 
   // Restores one open fragment / one fragment counter (ts_ckpt restore path;
@@ -174,6 +178,19 @@ class LiveCloser {
     EventTime last_time;  // See the invariant at the top of this file.
     OpenMap::value_type* fragment;
   };
+
+  // True once a fragment last active at `last_time` has been idle a whole
+  // window at the current watermark. Times come off the wire and may be any
+  // int64, so the gap is taken in unsigned arithmetic, which cannot overflow;
+  // kNoIdleSplit is never reached.
+  bool Expired(EventTime last_time) const {
+    if (inactivity_ns_ == kNoIdleSplit || last_time > watermark_) {
+      return false;
+    }
+    const uint64_t gap =
+        static_cast<uint64_t>(watermark_) - static_cast<uint64_t>(last_time);
+    return gap >= static_cast<uint64_t>(inactivity_ns_);
+  }
 
   // Moves *open's records out into a Session appended to *closed.
   void Emit(const std::string& id, Open* open, std::vector<Session>* closed);

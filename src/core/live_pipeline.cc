@@ -265,35 +265,6 @@ LivePipeline::CheckpointTicket LivePipeline::BeginCheckpoint() {
 PipelineCheckpoint LivePipeline::CollectCheckpoint(
     const CheckpointTicket& ticket, const std::function<void()>& while_paused,
     const LiveCloser::OpenFragmentVisitor& open_visitor) {
-  PipelineCheckpoint checkpoint;
-  const auto export_closers = [this, &checkpoint, &open_visitor] {
-    for (auto& shard_ptr : shards_) {
-      if (open_visitor) {
-        shard_ptr->closer.ExportCounters(&checkpoint.closers);
-        shard_ptr->closer.VisitOpenFragments(open_visitor);
-      } else {
-        shard_ptr->closer.ExportState(&checkpoint.closers);
-      }
-    }
-  };
-  if (ticket == nullptr) {
-    // BeginCheckpoint after Finish(): workers are joined and every fragment
-    // has been flushed to the sink — the closers are empty but their fragment
-    // counters still matter.
-    checkpoint.records = records();
-    checkpoint.parse_failures = parse_failures();
-    checkpoint.ingest_watermark = ingest_watermark_;
-    if (miner_ != nullptr) {
-      std::lock_guard<std::mutex> lock(miner_mu_);
-      checkpoint.miner = miner_->Export();
-      checkpoint.has_miner = true;
-    }
-    export_closers();
-    if (while_paused) {
-      while_paused();
-    }
-    return checkpoint;
-  }
   {
     std::unique_lock<std::mutex> lock(ticket->mu);
     ticket->arrived_cv.wait(
@@ -304,12 +275,16 @@ PipelineCheckpoint LivePipeline::CollectCheckpoint(
   // totals below are barrier-aligned even while ingest keeps queueing batches
   // behind the marker. The closers are safe to read for the same reason: their
   // owning workers cannot advance until released below.
+  PipelineCheckpoint checkpoint;
   checkpoint.records = records();
   checkpoint.parse_failures = parse_failures();
   checkpoint.ingest_watermark = ticket->watermark;
   checkpoint.has_miner = ticket->has_miner;
   checkpoint.miner = std::move(ticket->miner);
-  export_closers();
+  for (auto& shard_ptr : shards_) {
+    shard_ptr->closer.ExportCounters(&checkpoint.closers);
+    shard_ptr->closer.VisitOpenFragments(open_visitor);
+  }
   if (while_paused) {
     while_paused();
   }
@@ -319,10 +294,6 @@ PipelineCheckpoint LivePipeline::CollectCheckpoint(
   }
   ticket->release_cv.notify_all();
   return checkpoint;
-}
-
-PipelineCheckpoint LivePipeline::CaptureCheckpoint() {
-  return CollectCheckpoint(BeginCheckpoint());
 }
 
 void LivePipeline::RestoreCheckpoint(PipelineCheckpoint&& checkpoint) {

@@ -130,7 +130,7 @@ struct LiveShardSnapshot {
 };
 
 // A watermark-aligned consistent snapshot of the pipeline's mutable state,
-// captured by CaptureCheckpoint() at a barrier: every shard has processed the
+// collected by CollectCheckpoint() at a barrier: every shard has processed the
 // whole arrival prefix, every session that closes at or below the barrier
 // watermark has been handed to the sink, and the merged open-fragment state is
 // a pure function of the arrival stream (the determinism contract). ts_ckpt
@@ -219,21 +219,18 @@ class LivePipeline {
   //                         into every shard queue and returns immediately;
   //                         ingest may keep feeding behind the marker. Returns
   //                         nullptr after Finish().
-  //   CollectCheckpoint() — any thread. Blocks until every shard has drained
-  //                         up to the barrier and paused on it — so all
-  //                         pre-barrier session closes have reached the sink —
-  //                         exports the merged LiveCloser state and the
-  //                         barrier-aligned counters, runs `while_paused`
-  //                         (the moment to copy the SessionStore: no sink call
-  //                         can run, so the store holds exactly the sessions
-  //                         closed by the barrier prefix), then releases the
-  //                         shards.
-  //
-  // When `open_visitor` is non-null the open fragments are handed to it by
-  // reference (still under the pause) instead of being deep-copied into the
-  // returned checkpoint, whose `closers.open` stays empty; fragment counters
-  // are exported either way. This is how the async writer serializes the —
-  // typically dominant — open section straight into its output buffer.
+  //   CollectCheckpoint() — any thread, with a non-null ticket. Blocks until
+  //                         every shard has drained up to the barrier and
+  //                         paused on it — so all pre-barrier session closes
+  //                         have reached the sink — exports the barrier-aligned
+  //                         counters and fragment counters, hands every open
+  //                         fragment to `open_visitor` by reference, runs
+  //                         `while_paused` (the moment to read the
+  //                         SessionStore: no sink call can run, so the store
+  //                         holds exactly the sessions closed by the barrier
+  //                         prefix), then releases the shards. The returned
+  //                         checkpoint's `closers.open` stays empty: the
+  //                         visitor has seen the open section.
   //
   // Exactly one CollectCheckpoint per ticket, and every ticket MUST be
   // collected before Finish() — paused workers never wake otherwise. At most
@@ -241,13 +238,8 @@ class LivePipeline {
   CheckpointTicket BeginCheckpoint();
   PipelineCheckpoint CollectCheckpoint(
       const CheckpointTicket& ticket,
-      const std::function<void()>& while_paused = nullptr,
-      const LiveCloser::OpenFragmentVisitor& open_visitor = nullptr);
-
-  // Synchronous convenience: BeginCheckpoint + CollectCheckpoint on the
-  // calling (ingest) thread. Valid after Finish() too — the joined shards'
-  // fragment counters still matter for a final snapshot.
-  PipelineCheckpoint CaptureCheckpoint();
+      const std::function<void()>& while_paused,
+      const LiveCloser::OpenFragmentVisitor& open_visitor);
 
   // Restores a snapshot into a fresh pipeline: re-routes each open fragment
   // and fragment counter to its owning shard, ShardOf(id) (the shard count

@@ -1,7 +1,6 @@
 #include "src/node/live_node.h"
 
 #include <cstdarg>
-#include <chrono>
 #include <utility>
 #include <vector>
 
@@ -9,18 +8,6 @@
 #include "src/store/tiered_reads.h"
 
 namespace ts {
-namespace {
-
-// The final checkpoint wants eventual durability: FlushPending returns false
-// on the FIRST spill write failure (so a periodic snapshot can be dropped)
-// while the spill thread keeps retrying behind it. Each false return is at
-// least one consumed fault or shed batch, so a finite fault window drains
-// within this many tries.
-constexpr int kFinalFlushTries = 100;
-// Final snapshot write retries, backing off 100 ms << attempt.
-constexpr int kFinalWriteRetries = 5;
-
-}  // namespace
 
 LiveNode::LiveNode(LiveNodeOptions options, CloseCallback on_close,
                    std::FILE* log)
@@ -28,8 +15,11 @@ LiveNode::LiveNode(LiveNodeOptions options, CloseCallback on_close,
       on_close_(std::move(on_close)),
       log_(log),
       metrics_(std::make_shared<MetricsRegistry>()),
-      store_(std::make_shared<SessionStore>(options_.store)),
-      server_(std::make_unique<QueryServer>(options_.query, store_, metrics_)) {}
+      store_(std::make_shared<SessionStore>(options_.store)) {
+  if (options_.query) {
+    server_ = std::make_unique<QueryServer>(*options_.query, store_, metrics_);
+  }
+}
 
 LiveNode::~LiveNode() {
   if (server_thread_.joinable()) {
@@ -68,12 +58,33 @@ bool LiveNode::Start() {
     ColdTier* cold = cold_.get();
     store_->SetEvictionSink([cold](Session&& s) { cold->Append(std::move(s)); },
                             [cold] { cold->WaitForSpace(); });
-    server_->SetColdTier(cold_);
     const ColdTier::Stats stats = cold_->stats();
     Log("cold tier: %s (%llu segment(s), %llu session(s) re-discovered)\n",
         options_.cold->dir.c_str(),
         static_cast<unsigned long long>(stats.segments),
         static_cast<unsigned long long>(stats.sessions));
+  }
+  if (server_ != nullptr && !StartServer()) {
+    return false;
+  }
+
+  // Restore before connecting, so the hello's "TS1 <stream> <offset>"
+  // resumes exactly where the snapshot left off.
+  CheckpointState state;
+  const bool restored =
+      options_.ingest && options_.checkpoint && Restore(&state);
+  if (options_.ingest) {
+    SocketIngestOptions ingest = *options_.ingest;
+    ingest.resume_offset = resume_offset_;
+    source_ = std::make_unique<SocketIngestSource>(ingest);
+  }
+  StartPipeline(restored, std::move(state));
+  return true;
+}
+
+bool LiveNode::StartServer() {
+  if (cold_ != nullptr) {
+    server_->SetColdTier(cold_);
   }
   if (options_.pipeline.mine_templates) {
     // ppm = hits per million mined payloads (every payload hits exactly one
@@ -101,25 +112,13 @@ bool LiveNode::Start() {
   // Listening before ingest starts, so subscribers attached early see every
   // session close.
   if (!server_->Start()) {
-    Log("cannot serve on %s:%u\n", options_.query.host.c_str(),
-        options_.query.port);
+    Log("cannot serve on %s:%u\n", options_.query->host.c_str(),
+        options_.query->port);
     return false;
   }
-  Log("query server listening on %s:%u\n", options_.query.host.c_str(),
+  Log("query server listening on %s:%u\n", options_.query->host.c_str(),
       server_->port());
   server_thread_ = std::thread([this] { server_->Run(); });
-  if (!options_.ingest) {
-    return true;
-  }
-
-  // Restore before connecting, so the hello's "TS1 <stream> <offset>"
-  // resumes exactly where the snapshot left off.
-  CheckpointState state;
-  const bool restored = options_.checkpoint && Restore(&state);
-  SocketIngestOptions ingest = *options_.ingest;
-  ingest.resume_offset = resume_offset_;
-  source_ = std::make_unique<SocketIngestSource>(ingest);
-  StartPipeline(restored, std::move(state));
   return true;
 }
 
@@ -283,15 +282,15 @@ void LiveNode::Shutdown() {
     return;
   }
   finished_ = true;
-  // Drain the writer before the synchronous capture or Finish(): at most one
-  // barrier may be in flight, and an uncollected ticket would leave the
-  // shard workers paused forever. The writer stays alive (idle) so the
-  // degraded-mode gauges it registered keep sampling.
+  // Settle the writer before Finish(): at most one barrier may be in flight,
+  // and an uncollected ticket would leave the shard workers paused forever.
+  // The writer stays alive (idle) so the degraded-mode gauges it registered
+  // keep sampling.
   if (async_ckpt_ != nullptr) {
     async_ckpt_->Drain();
-  }
-  if (ckpt_ != nullptr && !failed_) {
-    WriteFinalCheckpoint();
+    if (!failed_) {
+      WriteFinalCheckpoint();
+    }
   }
   pipeline_->Finish();
 }
@@ -323,43 +322,24 @@ void LiveNode::WriteFinalCheckpoint() {
   // closes must not leak into the snapshot — a restart continues them as
   // open fragments instead.
   pipeline_->Flush();
-  CheckpointState state = CaptureLiveCheckpoint(
-      pipeline_.get(), *store_, source_->records_received(),
-      static_cast<uint64_t>(options_.ingest->stream));
-  state.records += base_records_;
-  state.parse_failures += base_parse_failures_;
-  if (cold_ != nullptr) {
-    // Same durability barrier as the periodic snapshots, ridden through the
-    // spill thread's retries. The snapshot is written either way, but a
-    // barrier that never drained is reported: some session evicted before it
-    // may not be durable yet.
-    bool drained = false;
-    for (int i = 0; i < kFinalFlushTries && !drained; ++i) {
-      drained = cold_->FlushPending();
-    }
-    if (!drained) {
-      Log("cold spill barrier did not drain before the final checkpoint "
-          "(%s)\n",
-          options_.cold->dir.c_str());
-    }
-  }
-  // The disk may still be inside a fault window at end of stream (the
-  // periodic writer only ticks while records flow, so nothing after the last
-  // record has proven it healthy). Retry with backoff rather than silently
-  // leaving the directory empty.
-  bool ok = ckpt_->Write(state);
-  for (int attempt = 0; !ok && attempt < kFinalWriteRetries; ++attempt) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(int64_t{100} << attempt));
-    ok = ckpt_->Write(state);
-  }
-  if (ok) {
+  const uint64_t offset = source_->records_received();
+  const AsyncCheckpointer::Final outcome = async_ckpt_->WriteFinal(offset);
+  if (outcome == AsyncCheckpointer::Final::kWritten) {
     Log("final checkpoint at offset %llu (%s)\n",
-        static_cast<unsigned long long>(state.resume_offset),
-        ckpt_->dir().c_str());
-  } else {
-    Log("final checkpoint FAILED (%s unwritable)\n", ckpt_->dir().c_str());
+        static_cast<unsigned long long>(offset), ckpt_->dir().c_str());
+    return;
   }
+  // Not published. A barrier that never drained means some session evicted
+  // before it may not be durable yet: a restore from this snapshot could
+  // lose it, so the previous snapshot stays the newest.
+  const char* unwritable = ckpt_->dir().c_str();
+  if (outcome == AsyncCheckpointer::Final::kBarrierFailed) {
+    unwritable = options_.cold->dir.c_str();
+    Log("cold spill barrier did not drain before the final checkpoint "
+        "(%s)\n",
+        unwritable);
+  }
+  Log("final checkpoint FAILED (%s unwritable)\n", unwritable);
 }
 
 uint64_t LiveNode::ingest_records() const {

@@ -1,5 +1,5 @@
 // LiveNode: the live consumer process as one object — the composition root
-// that `ts_sessionize --connect --serve`, `ts_loadgen --quick`,
+// that every `ts_sessionize` input, `ts_loadgen --quick`,
 // bench/overload_study and the fault/crash conformance suites all run:
 //
 //   SocketIngestSource ─► LivePipeline (N shards) ─► SessionStore ─► QueryServer
@@ -18,9 +18,9 @@
 //               asynchronous checkpointer.
 //   Step()      one poll of the shipped ingest loop:
 //               PollBlock -> FeedBlock -> Flush -> MaybeCheckpoint.
-//   Shutdown()  drains the checkpoint writer, writes the final checkpoint
-//               (through the cold tier's FlushPending barrier, retried across
-//               a disk-fault window), then finishes the pipeline.
+//   Shutdown()  drains the checkpoint writer, takes the final snapshot
+//               through it (same barrier and durability rule as the periodic
+//               ones, a larger retry budget), then finishes the pipeline.
 //   Kill()      models SIGKILL: nothing after this instant reaches disk.
 //
 // The query server keeps serving until the node is destroyed. With a
@@ -28,9 +28,13 @@
 // already held hot or cold (replayed from a stale resume offset) is counted in
 // replayed_duplicates() and never merged.
 //
-// Without `ingest` the node only serves what the caller inserts into store()
-// (`ts_sessionize --in=F --serve`): Start() discovers the cold tier and
-// listens, and Step/Shutdown/Kill do nothing.
+// Every part but the pipeline and the store is optional. Without `query` the
+// node opens no listener. Without `ingest` the caller feeds pipeline() itself
+// (`ts_sessionize --in=F`: FeedLine per line, Flush per block, Shutdown at end
+// of input); Step() and Run() then do nothing, checkpoint is ignored (a
+// snapshot's resume offset names a position in an upstream stream), and the
+// ingest accessors (records_received, transport_stats, accounting) must not
+// be called.
 #ifndef SRC_NODE_LIVE_NODE_H_
 #define SRC_NODE_LIVE_NODE_H_
 
@@ -55,12 +59,12 @@ namespace ts {
 
 // Aggregates the options of the parts; adds no setting of its own.
 struct LiveNodeOptions {
-  std::optional<SocketIngestOptions> ingest;  // Unset: serve-only node.
+  std::optional<SocketIngestOptions> ingest;  // Unset: fed by the caller.
   LivePipelineOptions pipeline;
   SessionStore::Options store;
-  QueryServerOptions query;
+  std::optional<QueryServerOptions> query;        // Unset: no listener.
   std::optional<ColdTierOptions> cold;            // Tiered store.
-  std::optional<CheckpointerOptions> checkpoint;  // Crash recovery.
+  std::optional<CheckpointerOptions> checkpoint;  // Crash recovery (ingest).
 };
 
 class LiveNode {
@@ -107,7 +111,9 @@ class LiveNode {
   SessionStore* store() const { return store_.get(); }
   ColdTier* cold() const { return cold_.get(); }
   LivePipeline* pipeline() const { return pipeline_.get(); }
-  uint16_t query_port() const { return server_->port(); }
+  uint16_t query_port() const {
+    return server_ != nullptr ? server_->port() : 0;
+  }
 
   // Records received from upstream, including the restored resume offset.
   uint64_t records_received() const { return source_->records_received(); }
@@ -145,6 +151,7 @@ class LiveNode {
  private:
   void Log(const char* format, ...) const
       __attribute__((format(printf, 2, 3)));
+  bool StartServer();
   // Restores the newest valid snapshot for this stream into *state; false on
   // a cold start.
   bool Restore(CheckpointState* state);

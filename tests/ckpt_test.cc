@@ -473,32 +473,44 @@ struct DigestRun {
   uint64_t store_digest = 0;
 };
 
-// Feeds `lines`, capturing a checkpoint after `split` lines, restoring it
-// into a second pipeline with a different worker count, and feeding the rest.
-// With split == lines.size() the capture is still mid-stream (nothing is
-// force-closed); split == 0 degenerates to a cold start.
+// Feeds `lines`, checkpointing after `split` lines through the async writer,
+// restoring the snapshot from disk into a second pipeline with a different
+// worker count, and feeding the rest. With split == lines.size() the
+// snapshot is still mid-stream (nothing is force-closed); split == 0
+// degenerates to a cold start.
 DigestRun RunWithHandoff(const std::vector<std::string>& lines, size_t split,
                          size_t workers_a, size_t workers_b) {
   SessionStore::Options store_options;
   store_options.max_bytes = 1ull << 30;
   CheckpointState snapshot;
   {
+    static int runs = 0;
+    CheckpointerOptions ckpt_options;
+    ckpt_options.dir = ::testing::TempDir() + "ts_ckpt_handoff_" +
+                       std::to_string(::getpid()) + "_" +
+                       std::to_string(runs++);
+    ckpt_options.interval_ms = 0;
+    const std::string cleanup = "rm -rf '" + ckpt_options.dir + "'";
+    EXPECT_EQ(std::system(cleanup.c_str()), 0);
+    Checkpointer ckpt(ckpt_options);
     SessionStore store_a(store_options);
     LivePipelineOptions options_a;
     options_a.workers = workers_a;
     LivePipeline pipeline_a(options_a, [&store_a](Session&& s) {
       store_a.Insert(std::move(s));
     });
+    AsyncCheckpointer writer(&ckpt, &pipeline_a, &store_a,
+                             AsyncCheckpointer::Options{});
     for (size_t i = 0; i < split; ++i) {
       pipeline_a.FeedLine(lines[i]);
     }
-    CheckpointState captured =
-        CaptureLiveCheckpoint(&pipeline_a, store_a, split);
-    // Round-trip through the wire format, exactly like a real restart.
-    const std::string bytes = EncodeSnapshot(captured);
-    EXPECT_TRUE(DecodeSnapshot(bytes, &snapshot));
-    // pipeline_a is abandoned here: its post-capture state is "lost in the
-    // crash" along with store_a.
+    EXPECT_TRUE(writer.RequestCheckpoint(split));
+    writer.Drain();
+    // Read back from disk, exactly like a real restart. pipeline_a is
+    // abandoned here: its post-snapshot state is "lost in the crash" along
+    // with store_a.
+    EXPECT_TRUE(ckpt.RestoreLatest(&snapshot).restored);
+    EXPECT_EQ(std::system(cleanup.c_str()), 0);
   }
 
   DigestRun result;
@@ -578,11 +590,15 @@ TEST(CkptRecoveryDeterminism, CheckpointerEndToEndThroughDisk) {
     pipe_options.workers = 2;
     LivePipeline pipeline(pipe_options,
                           [&store](Session&& s) { store.Insert(std::move(s)); });
+    AsyncCheckpointer writer(&ckpt, &pipeline, &store,
+                             AsyncCheckpointer::Options{});
     const size_t split = lines.size() / 2;
     for (size_t i = 0; i < split; ++i) {
       pipeline.FeedLine(lines[i]);
     }
-    ASSERT_TRUE(ckpt.Write(CaptureLiveCheckpoint(&pipeline, store, split)));
+    ASSERT_TRUE(writer.RequestCheckpoint(split));
+    writer.Drain();
+    ASSERT_EQ(ckpt.snapshots_taken(), 1u);
   }
 
   CheckpointState state;

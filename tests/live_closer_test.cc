@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -309,6 +310,53 @@ TEST(LiveCloserTest, SplitByALateRecordClosesOnTheNextCall) {
   EXPECT_EQ(closed[1].records[0].time, 5 * kSec);
   EXPECT_EQ(closer.open_sessions(), 1u);
   EXPECT_EQ(closer.expiry_candidates(), 1u);
+}
+
+// Event times come off the wire and may be any int64. Expiry compares the
+// idle gap without overflowing at either end of the range, under a finite
+// window and under kNoIdleSplit, whose fragments close only at FlushAll.
+TEST(LiveCloserTest, ExtremeTimesExpireWithoutOverflow) {
+  constexpr EventTime kMin = std::numeric_limits<EventTime>::min();
+  constexpr EventTime kMax = std::numeric_limits<EventTime>::max();
+  const auto feed_extremes = [](LiveCloser* closer,
+                                std::vector<Session>* closed) {
+    closer->Feed(Rec("A", kMin), closed);
+    closer->Feed(Rec("A", kMin + 1), closed);
+    closer->Feed(Rec("B", kMax - 1), closed);
+    closer->Feed(Rec("B", kMax), closed);
+    closer->CloseExpired(closed);
+  };
+
+  LiveCloser windowed(5 * kSec);
+  std::vector<Session> closed;
+  feed_extremes(&windowed, &closed);
+  // A is far behind the watermark (0, then kMax) at every step: each of its
+  // records closes alone. B's records are one nanosecond apart, inside the
+  // window, at the very top of the range.
+  ASSERT_EQ(closed.size(), 2u);
+  EXPECT_EQ(closed[0].id, "A");
+  EXPECT_EQ(closed[0].records[0].time, kMin);
+  EXPECT_EQ(closed[1].id, "A");
+  EXPECT_EQ(closed[1].fragment_index, 1u);
+  EXPECT_EQ(closed[1].records[0].time, kMin + 1);
+  EXPECT_EQ(windowed.open_sessions(), 1u);
+  windowed.FlushAll(&closed);
+  ASSERT_EQ(closed.size(), 3u);
+  EXPECT_EQ(closed[2].id, "B");
+  EXPECT_EQ(closed[2].records.size(), 2u);
+
+  LiveCloser unbounded(LiveCloser::kNoIdleSplit);
+  closed.clear();
+  feed_extremes(&unbounded, &closed);
+  EXPECT_TRUE(closed.empty());  // A gap of 2^64 - 2 ns is still no split.
+  EXPECT_EQ(unbounded.open_sessions(), 2u);
+  EXPECT_EQ(unbounded.expiry_visited(), 0u);
+  unbounded.FlushAll(&closed);
+  ASSERT_EQ(closed.size(), 2u);
+  for (const auto& s : closed) {
+    EXPECT_EQ(s.fragment_index, 0u);
+    EXPECT_EQ(s.records.size(), 2u);
+  }
 }
 
 // CloseExpired costs O(expired), not O(open): with 10k fragments open and

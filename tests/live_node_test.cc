@@ -3,6 +3,8 @@
 // dedupe guard and the final checkpoint's retry loop — the paths that
 // ts_sessionize --connect --serve runs and that the shell smokes used to be
 // the only check of.
+#include <cerrno>
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -11,6 +13,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -21,7 +24,9 @@
 #include "src/ckpt/checkpointer.h"
 #include "src/common/siphash.h"
 #include "src/node/live_node.h"
+#include "src/offline/offline_sessionizer.h"
 #include "src/query/query_client.h"
+#include "tests/canonical_session.h"
 #include "tests/live_node_test_util.h"
 
 namespace ts {
@@ -414,6 +419,132 @@ TEST(LiveNodeFinalCheckpoint, AColdBarrierThatNeverDrainsIsReported) {
       << text;
   EXPECT_NE(text.find("final checkpoint FAILED"), std::string::npos) << text;
   EXPECT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
+}
+
+// Fails every write under one directory; the rest of the disk is healthy.
+class DirWriteFaults : public FsFaultInjector {
+ public:
+  explicit DirWriteFaults(std::string dir) : dir_(std::move(dir)) {}
+  FsFaultAction OnOpen(const char* path, bool for_write) override {
+    return for_write ? Maybe(path) : FsFaultAction{};
+  }
+  FsFaultAction OnWrite(const char* path, size_t) override {
+    return Maybe(path);
+  }
+
+ private:
+  FsFaultAction Maybe(const char* path) const {
+    if (std::string_view(path).substr(0, dir_.size()) != dir_) {
+      return {};
+    }
+    FsFaultAction action;
+    action.kind = FsFaultAction::Kind::kFail;
+    action.error = ENOSPC;
+    return action;
+  }
+  const std::string dir_;
+};
+
+// The final snapshot obeys the durability rule of the periodic ones: with
+// the checkpoint directory writable but the cold tier unable to make the
+// preceding evictions durable, it is not published — a restore from it would
+// skip replaying sessions that exist nowhere.
+TEST(LiveNodeFinalCheckpoint, NotPublishedWhenOnlyTheColdBarrierFails) {
+  const std::string dir = TempDir("ts_node_final_cold_only");
+  ASSERT_EQ(std::system(("mkdir -p '" + dir + "'").c_str()), 0);
+  const auto archive = MakeArchive(/*records_per_sec=*/2'000, /*seconds=*/2);
+  PrefixUpstream upstream;
+  LiveNodeOptions options = TestNodeOptions(upstream.port(), /*workers=*/2);
+  options.pipeline.inactivity_ns = 200 * kNanosPerMilli;
+  options.store.max_bytes = 16u << 10;  // Evicts while the stream flows.
+  options.cold.emplace();
+  options.cold->dir = dir + "/cold";
+  // Every eviction stays queued until the final barrier, and a failing
+  // spill is retried (each 1 ms apart) instead of shed.
+  options.cold->segment_target_bytes = options.cold->max_pending_bytes;
+  options.cold->spill_retry_limit = 0;
+  options.cold->spill_backoff_ms = 0;
+  options.checkpoint.emplace();
+  options.checkpoint->dir = dir + "/ckpt";
+  options.checkpoint->interval_ms = 0;  // The final snapshot is the only one.
+  CapturedLog log;
+  DirWriteFaults disk(dir + "/cold");
+  {
+    LiveNode node(std::move(options), nullptr, log.file());
+    ASSERT_TRUE(node.Start());
+    upstream.Serve(*archive, archive->size());
+    node.Run();
+    for (int i = 0; i < 500 && node.cold()->stats().pending == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ASSERT_GT(node.cold()->stats().pending, 0u);
+    InstallFsFaultInjector(&disk);
+    node.Shutdown();
+    InstallFsFaultInjector(nullptr);
+    EXPECT_EQ(Gauge(node, "ckpt_snapshots"), 0);
+    EXPECT_EQ(Gauge(node, "ckpt_snapshots_dropped"), 1);
+  }
+  const std::string text = log.text();
+  EXPECT_NE(text.find("cold spill barrier did not drain before the final "
+                      "checkpoint (" + dir + "/cold)"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("final checkpoint FAILED"), std::string::npos) << text;
+  EXPECT_EQ(text.find("final checkpoint at offset"), std::string::npos)
+      << text;
+  CheckpointerOptions ckpt_options;
+  ckpt_options.dir = dir + "/ckpt";
+  Checkpointer ckpt(ckpt_options);
+  CheckpointState state;
+  EXPECT_FALSE(ckpt.RestoreLatest(&state).restored);
+  EXPECT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
+}
+
+// Fed by the caller (`ts_sessionize --in=F`) with no idle split, the node
+// reconstructs exactly the offline job's sessions at every worker count: one
+// per id, closed at Shutdown, record for record.
+TEST(LiveNodeCallerFed, UnboundedWindowMatchesTheOfflineOracle) {
+  const auto archive = MakeArchive(/*records_per_sec=*/2'000, /*seconds=*/3);
+  std::vector<LogRecord> records;
+  for (const auto& line : *archive) {
+    records.push_back(*ParseWireFormat(line));
+  }
+  std::vector<std::string> expected;
+  for (const auto& s : OfflineSessionizer::Sessionize(std::move(records))) {
+    expected.push_back(Canonical(s));
+  }
+  std::sort(expected.begin(), expected.end());
+  ASSERT_GT(expected.size(), 10u);
+
+  for (const size_t workers : {1, 4}) {
+    LiveNodeOptions options;
+    options.pipeline.workers = workers;
+    options.pipeline.inactivity_ns = LiveCloser::kNoIdleSplit;
+    std::mutex mu;
+    std::vector<std::string> got;
+    LiveNode node(
+        std::move(options),
+        [&](const Session& s, size_t) {
+          std::lock_guard<std::mutex> lock(mu);
+          got.push_back(Canonical(s));
+        },
+        /*log=*/nullptr);
+    ASSERT_TRUE(node.Start());
+    EXPECT_EQ(node.query_port(), 0);  // No listener without `query`.
+    size_t fed = 0;
+    for (const auto& line : *archive) {
+      node.pipeline()->FeedLine(line);
+      if (++fed % 512 == 0) {
+        node.pipeline()->Flush();
+      }
+    }
+    node.pipeline()->Flush();
+    EXPECT_EQ(node.Step(), SocketIngestSource::Poll::kEndOfStream);
+    node.Shutdown();
+    EXPECT_EQ(node.ingest_records(), archive->size());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, expected) << workers << " worker(s)";
+  }
 }
 
 // What one shard's close callback saw. Written without a lock: the callback

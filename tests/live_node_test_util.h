@@ -205,9 +205,11 @@ class PrefixUpstream {
 };
 
 // A node consuming 127.0.0.1:`port` with test-speed reconnect backoff and a
-// store large enough never to evict.
+// store large enough never to evict, serving queries on an ephemeral port as
+// `ts_sessionize --connect --serve=0` does.
 inline LiveNodeOptions TestNodeOptions(uint16_t port, size_t workers) {
   LiveNodeOptions options;
+  options.query.emplace();
   options.ingest.emplace();
   options.ingest->port = port;
   options.ingest->backoff_base_ms = 1;

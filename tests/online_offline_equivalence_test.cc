@@ -20,6 +20,7 @@
 #include "src/offline/offline_sessionizer.h"
 #include "src/replay/ingest_driver.h"
 #include "src/timely/timely.h"
+#include "tests/canonical_session.h"
 
 namespace ts {
 namespace {
@@ -119,18 +120,6 @@ INSTANTIATE_TEST_SUITE_P(
 // index, records in order and epochs, and close inactivity_epochs after its
 // last epoch.
 class OnlineOfflineContent : public ::testing::TestWithParam<size_t> {};
-
-// One line per session: "id#fragment first..last@closed_at: payload@time ...".
-std::string Canonical(const Session& s) {
-  std::string line = s.id + "#" + std::to_string(s.fragment_index) + " " +
-                     std::to_string(s.first_epoch) + ".." +
-                     std::to_string(s.last_epoch) + "@" +
-                     std::to_string(s.closed_at) + ":";
-  for (const auto& r : s.records) {
-    line += " " + r.payload + "@" + std::to_string(r.time);
-  }
-  return line;
-}
 
 TEST_P(OnlineOfflineContent, CanonicalSessionsMatchOracle) {
   const size_t workers = GetParam();

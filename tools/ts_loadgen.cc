@@ -120,6 +120,7 @@ LiveNodeOptions ConsumerOptions(uint16_t upstream_port,
   options.ingest->port = upstream_port;
   options.ingest->max_records_per_poll = 4096;
   options.pipeline.inactivity_ns = inactivity_ns;
+  options.query.emplace();  // Ephemeral port, for the close subscriber.
   return options;
 }
 

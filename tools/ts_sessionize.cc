@@ -1,10 +1,10 @@
 // ts_sessionize: reads wire-format log records from a file, stdin, or a live
 // ts_log_server TCP stream, reconstructs sessions and trace trees, and prints
-// a summary report — the offline companion to the streaming system, handy for
-// inspecting archived logs produced by ts_trace_gen or exported from a real
-// pipeline. With --serve it additionally keeps the reconstructed sessions in
-// a bounded SessionStore and answers the ts_query wire protocol, turning the
-// tool into the middle process of the paper's Figure 2 pipeline:
+// a summary report. Every input runs the same live kernel inside one LiveNode:
+// sessions close as the event-time watermark passes their inactivity window,
+// sharded across --workers threads. With --serve it additionally answers the
+// ts_query wire protocol from the node's SessionStore, turning the tool into
+// the middle process of the paper's Figure 2 pipeline:
 //
 //   ts_log_server --addr=:9000 | ts_sessionize --connect=:9000 --serve=9100
 //                              | ts_query --connect=:9100
@@ -12,21 +12,32 @@
 // Usage:
 //   ts_sessionize [--in=path | --connect=host:port] [--stream=0 --streams=1]
 //                 [--inactivity_s=0] [--top=10] [--trees]
-//                 [--serve=port] [--store_mb=256] [--workers=N]
+//                 [--serve=[HOST:]PORT] [--store_mb=256] [--workers=N]
 //
+//   --in=path         read an archive (default: stdin); the tool feeds the
+//                     node's pipeline itself, flushing every 16k lines
 //   --connect=H:P     consume a live log-server stream instead of a file
 //                     (reconnects with backoff and resumes if the server
-//                     drops mid-stream)
+//                     drops mid-stream). The stream is never buffered
+//                     whole: closed sessions are held in a store bounded by
+//                     --store_mb, and records wait only in still-open
+//                     fragments (at --inactivity_s=0, until end of stream).
 //   --stream/--streams  which partition of the server's archive to consume
-//   --inactivity_s=N  also split sessions at idle gaps > N seconds
+//   --inactivity_s=N  the kernel's inactivity window on every input: a
+//                     session fragment closes once the watermark is N seconds
+//                     past its last record. 0 (default) means no idle split:
+//                     each session closes whole at end of input. The one
+//                     exception is a served live stream (--connect --serve),
+//                     whose sessions must close while it flows: there 0 means
+//                     a 5 s window.
 //   --top=K           print the K most frequent tree signatures and
 //                     communicating service pairs
-//   --trees           dump every trace tree (verbose)
-//   --serve=PORT      run a ts_query QueryServer on 127.0.0.1:PORT attached
-//                     to a live SessionStore; with --connect, sessions are
-//                     closed incrementally by event-time watermark as the
-//                     stream flows (subscribers live-tail them), and the
-//                     process keeps serving after end of stream until
+//   --trees           dump every trace tree (verbose), one line per tree in
+//                     the order sessions close
+//   --serve=[HOST:]PORT  run a ts_query QueryServer on HOST (default
+//                     127.0.0.1) attached to the node's SessionStore.
+//                     Subscribers live-tail sessions as they close, and the
+//                     process keeps serving after end of input until
 //                     SIGINT/SIGTERM. PORT 0 binds an ephemeral port.
 //   --store_mb=N      SessionStore eviction budget (default 256 MiB)
 //   --cold-dir=D      (with --serve) tiered store: sessions evicted from the
@@ -37,31 +48,31 @@
 //                     --store_mb. Existing segments are re-discovered on
 //                     startup. See docs/STORE.md.
 //   --cold_segment_mb=N  cold segment target size (default 4 MiB)
-//   --workers=N       shard the live (--connect --serve) hot path across N
-//                     worker threads, hash-partitioned by SipHash(session id)
-//                     — the paper's Exchange PACT (default: hardware threads).
-//                     Closed-session output is byte-identical for every N.
+//   --workers=N       shard the hot path across N worker threads,
+//                     hash-partitioned by SipHash(session id) — the paper's
+//                     Exchange PACT (default: hardware threads). The report
+//                     and the closed sessions are byte-identical for every N.
 //                     At most 1024.
 //   --shed-policy=oldest-open
-//                     (with --connect --serve) opt-in overload shedding: a
-//                     shard queue blocked longer than --shed_stall_ms drops
-//                     its oldest queued batch, and per-shard open-fragment
-//                     state above --shed_open_mb sheds oldest-idle fragments
-//                     first. Every drop is counted exactly (live_shed_* in
-//                     STATS; records == emitted + open + shed reconciles);
-//                     the watermark keeps advancing instead of stalling the
-//                     producer. See docs/LOADGEN.md.
-//   --mine-templates  (with --connect --serve) mine log templates from the
-//                     free-text payload of each record on ingest: payloads are
-//                     rewritten to "#<template_id> <var>..." before
-//                     sessionization (shrinking store bytes/session), and the
+//                     opt-in overload shedding: a shard queue blocked longer
+//                     than --shed_stall_ms drops its oldest queued batch, and
+//                     per-shard open-fragment state above --shed_open_mb
+//                     sheds oldest-idle fragments first. Every drop is
+//                     counted exactly (live_shed_* in STATS; records ==
+//                     emitted + open + shed reconciles); the watermark keeps
+//                     advancing instead of stalling the producer. See
+//                     docs/LOADGEN.md.
+//   --mine-templates  mine log templates from the free-text payload of each
+//                     record on ingest: payloads are rewritten to
+//                     "#<template_id> <var>..." before sessionization
+//                     (shrinking store bytes/session), and with --serve the
 //                     query server answers the TEMPLATES verb with the mined
 //                     dictionary. Checkpoints include the miner state.
-//   --checkpoint-dir=D  (with --connect --serve) durable crash recovery: on
-//                     startup restore the newest valid snapshot in D and
-//                     resume the server-side stream from its offset; while
-//                     running, write barrier-aligned snapshots periodically
-//                     and on graceful shutdown. See docs/RECOVERY.md.
+//   --checkpoint-dir=D  (with --connect) durable crash recovery: on startup
+//                     restore the newest valid snapshot in D and resume the
+//                     server-side stream from its offset; while running,
+//                     write barrier-aligned snapshots periodically and on
+//                     graceful shutdown. See docs/RECOVERY.md.
 //   --ckpt_interval_s=N  seconds between periodic snapshots (default 2)
 //   --ckpt_retain=K   snapshots kept on disk (default 3)
 //   --disk-fault-plan=FILE  fault testing: install a ScriptedDiskInjector
@@ -84,17 +95,14 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <vector>
 
 #include "src/analytics/report_accumulator.h"
 #include "src/ckpt/snapshot_io.h"
 #include "src/fault/fault_plan.h"
 #include "src/fault/fs_fault.h"
 #include "src/fault/scripted_disk_injector.h"
-#include "src/log/wire_format.h"
 #include "src/net/net_util.h"
 #include "src/node/live_node.h"
-#include "src/offline/offline_sessionizer.h"
 
 namespace {
 
@@ -146,26 +154,37 @@ double Flag(int argc, char** argv, const char* name, double fallback,
   return value;
 }
 
-// Reads --serve's bare PORT form: decimal digits, at most 65535 (0 asks for
-// an ephemeral port). Anything else exits 2, as a bad numeric flag does.
-uint16_t ServePort(const char* text) {
+// Reads --serve=[HOST:]PORT. PORT is decimal digits, at most 65535 (0 asks
+// for an ephemeral port); an empty HOST keeps the default. A bad port exits
+// 2, as a bad numeric flag does.
+ts::QueryServerOptions ServeOptions(const char* spec) {
+  ts::QueryServerOptions query;
+  const char* text = spec;
+  if (const char* colon = std::strrchr(spec, ':')) {
+    if (colon != spec) {
+      query.host.assign(spec, colon);
+    }
+    text = colon + 1;
+  }
   char* end = nullptr;
   errno = 0;
   const unsigned long value = std::strtoul(text, &end, 10);
   if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
       errno == ERANGE || value > 65535) {
-    std::fprintf(stderr, "bad --serve=%s (want a port in [0, 65535])\n",
-                 text);
+    std::fprintf(stderr, "bad --serve=%s (want [HOST:]PORT, PORT in [0, "
+                 "65535])\n", spec);
     std::exit(2);
   }
-  return static_cast<uint16_t>(value);
+  query.port = static_cast<uint16_t>(value);
+  return query;
 }
 
 // Bound on the records one poll may deliver, so a stalled shard queue
-// back-pressures the server via TCP instead of ballooning a block.
+// back-pressures the server via TCP instead of ballooning a block. A file is
+// fed in blocks of the same size, each followed by a watermark Flush.
 constexpr size_t kMaxRecordsPerPoll = 16 << 10;
-// The live path's inactivity window when --inactivity_s is 0: a watermark
-// close needs a window.
+// A served live stream's inactivity window when --inactivity_s is 0: its
+// sessions must close while the stream flows.
 constexpr ts::EventTime kDefaultLiveInactivityNs = 5 * ts::kNanosPerSecond;
 
 volatile std::sig_atomic_t g_stop = 0;
@@ -192,7 +211,6 @@ int main(int argc, char** argv) {
   const char* connect_spec = FlagStr(argc, argv, "--connect");
   const char* cold_dir = FlagStr(argc, argv, "--cold-dir");
   const char* ckpt_dir = FlagStr(argc, argv, "--checkpoint-dir");
-  const bool mine_templates = HasFlag(argc, argv, "--mine-templates");
 
   LiveNodeOptions node_options;
   node_options.store.max_bytes =
@@ -212,16 +230,20 @@ int main(int argc, char** argv) {
   ingest.num_streams =
       static_cast<size_t>(Flag(argc, argv, "--streams", 1, kMaxCount));
   ingest.max_records_per_poll = kMaxRecordsPerPoll;
-  // Live path: parse + sessionize sharded across --workers threads,
-  // hash-partitioned by session id; sessions close incrementally as the
-  // watermark advances.
+  // Parse + sessionize sharded across --workers threads, hash-partitioned by
+  // session id; sessions close as the watermark passes their window.
   LivePipelineOptions& pipe_options = node_options.pipeline;
   const unsigned hw = std::thread::hardware_concurrency();
   pipe_options.workers = static_cast<size_t>(
       Flag(argc, argv, "--workers", hw > 0 ? hw : 1, kMaxWorkers));
-  pipe_options.inactivity_ns =
-      inactivity_ns > 0 ? inactivity_ns : kDefaultLiveInactivityNs;
-  pipe_options.mine_templates = mine_templates;
+  if (inactivity_ns > 0) {
+    pipe_options.inactivity_ns = inactivity_ns;
+  } else if (connect_spec != nullptr && serve_spec != nullptr) {
+    pipe_options.inactivity_ns = kDefaultLiveInactivityNs;
+  } else {
+    pipe_options.inactivity_ns = LiveCloser::kNoIdleSplit;
+  }
+  pipe_options.mine_templates = HasFlag(argc, argv, "--mine-templates");
   if (const char* policy = FlagStr(argc, argv, "--shed-policy")) {
     if (std::string_view(policy) == "oldest-open") {
       pipe_options.shed_policy = ShedPolicy::kOldestOpen;
@@ -244,15 +266,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (serve_spec != nullptr) {
-    QueryServerOptions& query = node_options.query;
-    if (std::strchr(serve_spec, ':') != nullptr) {
-      if (!ParseHostPort(serve_spec, &query.host, &query.port)) {
-        std::fprintf(stderr, "bad --serve spec %s\n", serve_spec);
-        return 1;
-      }
-    } else {
-      query.port = ServePort(serve_spec);
-    }
+    node_options.query = ServeOptions(serve_spec);
   }
 
   // Declared before the node so it is destroyed last: the process-global
@@ -284,135 +298,92 @@ int main(int argc, char** argv) {
                    plan_path, n_events);
     }
   }
-  if (cold_dir != nullptr && serve_spec == nullptr) {
-    std::fprintf(stderr, "--cold-dir needs --serve; ignoring\n");
+  if (cold_dir != nullptr) {
+    if (serve_spec != nullptr) {
+      cold_options.dir = cold_dir;
+      node_options.cold = cold_options;
+    } else {
+      std::fprintf(stderr, "--cold-dir needs --serve; ignoring\n");
+    }
   }
-  if (mine_templates && serve_spec == nullptr) {
-    std::fprintf(stderr, "--mine-templates needs --connect --serve; ignoring\n");
+  if (ckpt_dir != nullptr && connect_spec == nullptr) {
+    std::fprintf(stderr, "--checkpoint-dir needs --connect; ignoring\n");
   }
-  if (ckpt_dir != nullptr && connect_spec != nullptr && serve_spec == nullptr) {
-    std::fprintf(stderr,
-                 "--checkpoint-dir needs --serve (live path); ignoring\n");
+  FILE* in = stdin;
+  if (connect_spec != nullptr) {
+    node_options.ingest = ingest;
+    if (ckpt_dir != nullptr) {
+      ckpt_options.dir = ckpt_dir;
+      node_options.checkpoint = ckpt_options;
+    }
+  } else if (const char* path = FlagStr(argc, argv, "--in")) {
+    in = std::fopen(path, "r");
+    if (in == nullptr) {
+      std::fprintf(stderr, "cannot open %s\n", path);
+      return 1;
+    }
   }
 
   // Outlives the node: each shard worker reports the sessions it closes into
-  // its own partial, lock-free; the offline path uses partial 0.
+  // its own partial, lock-free.
   ReportAccumulator report(pipe_options.workers,
                            HasFlag(argc, argv, "--trees") ? stdout : nullptr);
-  // --serve: the node stands up the store and the query server (and, with
-  // --connect, restores the checkpoint) before ingesting.
-  std::unique_ptr<LiveNode> node;
-  if (serve_spec != nullptr) {
-    if (cold_dir != nullptr) {
-      cold_options.dir = cold_dir;
-      node_options.cold = cold_options;
-    }
-    if (connect_spec != nullptr) {
-      node_options.ingest = ingest;
-      if (ckpt_dir != nullptr) {
-        ckpt_options.dir = ckpt_dir;
-        node_options.checkpoint = ckpt_options;
-      }
-    }
-    node = std::make_unique<LiveNode>(
-        std::move(node_options),
-        [&report](const Session& s, size_t shard) { report.Add(shard, s); });
-    if (disk_faults != nullptr) {
-      disk_faults->RegisterMetrics(node->metrics());
-    }
-    if (!node->Start()) {
-      return 1;
-    }
+  // The node stands up the store, the query server (--serve) and, with
+  // --connect, restores the checkpoint before ingesting.
+  LiveNode node(
+      std::move(node_options),
+      [&report](const Session& s, size_t shard) { report.Add(shard, s); });
+  if (disk_faults != nullptr) {
+    disk_faults->RegisterMetrics(node.metrics());
+  }
+  if (!node.Start()) {
+    return 1;
   }
 
-  std::vector<LogRecord> records;
-  size_t record_count = 0;
-  uint64_t parse_failures = 0;
-  bool sessions_ready = false;  // The live path feeds `report` itself.
-  auto parse_line = [&](std::string_view line) {
-    if (line.empty()) {
-      return;  // Blank lines are framing artifacts, not parse failures.
-    }
-    auto parsed = ParseWireFormat(line);
-    if (parsed) {
-      records.push_back(std::move(*parsed));
-    } else {
-      ++parse_failures;
-    }
-  };
-
   if (connect_spec != nullptr) {
-    std::unique_ptr<SocketIngestSource> source;  // Without --serve only.
-    bool graceful = true;
-    if (node != nullptr) {
-      node->Run([] { return g_stop != 0; });
-      node->Shutdown();
-      record_count = node->ingest_records();
-      parse_failures = node->ingest_parse_failures();
-      sessions_ready = true;
-      graceful = !node->transport_failed();
-    } else {
-      source = std::make_unique<SocketIngestSource>(ingest);
-      std::vector<std::string> lines;
-      graceful = source->ReadAll(&lines);
-      for (const auto& l : lines) {
-        parse_line(l);
-      }
-    }
-    const TransportStats& stats =
-        node != nullptr ? node->transport_stats() : source->stats();
-    std::fprintf(stderr, "transport: %s\n", stats.Snapshot().Format().c_str());
-    if (!graceful) {
+    node.Run([] { return g_stop != 0; });
+    node.Shutdown();
+    std::fprintf(stderr, "transport: %s\n",
+                 node.transport_stats().Snapshot().Format().c_str());
+    if (node.transport_failed()) {
       std::fprintf(stderr,
                    "transport failed before end of stream (%llu records in)\n",
-                   static_cast<unsigned long long>(
-                       node != nullptr ? node->records_received()
-                                       : source->records_received()));
+                   static_cast<unsigned long long>(node.records_received()));
       return 1;
     }
   } else {
-    FILE* in = stdin;
-    if (const char* path = FlagStr(argc, argv, "--in")) {
-      in = std::fopen(path, "r");
-      if (in == nullptr) {
-        std::fprintf(stderr, "cannot open %s\n", path);
-        return 1;
-      }
-    }
+    LivePipeline* pipeline = node.pipeline();
     char* line = nullptr;
     size_t capacity = 0;
+    size_t unflushed = 0;
     ssize_t len;
-    while ((len = getline(&line, &capacity, in)) >= 0) {
+    while (g_stop == 0 && (len = getline(&line, &capacity, in)) >= 0) {
       while (len > 0 && (line[len - 1] == '\n' || line[len - 1] == '\r')) {
         --len;
       }
-      parse_line(std::string_view(line, static_cast<size_t>(len)));
+      pipeline->FeedLine(std::string(line, static_cast<size_t>(len)));
+      if (++unflushed == kMaxRecordsPerPoll) {
+        pipeline->Flush();
+        unflushed = 0;
+      }
     }
     free(line);
     if (in != stdin) {
       std::fclose(in);
     }
+    node.Shutdown();
   }
 
-  if (!sessions_ready) {
-    OfflineOptions options;
-    options.inactivity_split_ns = inactivity_ns;
-    record_count = records.size();
-    auto sessions = OfflineSessionizer::Sessionize(std::move(records), options);
-    for (auto& s : sessions) {
-      report.Add(0, s);
-      if (node != nullptr) {
-        node->store()->Insert(std::move(s));
-      }
-    }
-  }
+  std::fputs(report
+                 .Format(node.ingest_records(), node.ingest_parse_failures(),
+                         top)
+                 .c_str(),
+             stdout);
 
-  std::fputs(report.Format(record_count, parse_failures, top).c_str(), stdout);
-
-  if (node != nullptr) {
+  if (serve_spec != nullptr) {
     std::fflush(stdout);
     std::fprintf(stderr, "serving %zu sessions on port %u (SIGINT to exit)\n",
-                 node->store()->stats().sessions, node->query_port());
+                 node.store()->stats().sessions, node.query_port());
     while (g_stop == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }

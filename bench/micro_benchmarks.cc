@@ -1,10 +1,14 @@
 // Engine micro-benchmarks (google-benchmark): the per-record costs that
 // compose into TS's epoch latency — hashing, wire parsing, a shard's
 // scan-and-materialize step, re-ordering, tree construction, signatures, exchange-hub transfers, live-path expiry, and
-// the store's eviction churn and its inserts under a live subscription.
+// the store's eviction churn, its inserts under a live subscription and
+// TOPK over a tiered store.
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <cstdlib>
 #include <latch>
 #include <memory>
 #include <string>
@@ -27,6 +31,8 @@
 #include "src/offline/offline_sessionizer.h"
 #include "src/query/query_client.h"
 #include "src/query/query_server.h"
+#include "src/store/cold_tier.h"
+#include "src/store/tiered_reads.h"
 #include "src/timely/runtime.h"
 #include "src/workload/generator.h"
 
@@ -323,6 +329,83 @@ void BM_StoreInsertSubscribed(benchmark::State& state) {
   loop.join();
 }
 BENCHMARK(BM_StoreInsertSubscribed)->ArgName("unfiltered")->Arg(0)->Arg(1);
+
+// TOPK over a tiered store shaped like perfbench's tiered_reads: ~1.3k hot
+// sessions (1.6 MiB budget) over ~9k cold ones in 1 MiB segments, ~1.2 KiB
+// and 1-4 services per session. Arg 0: no twins. Arg 1: the hot window is a
+// restored snapshot half of whose sessions the cold tier already holds. The
+// census costs O(services + twins) either way, with no store scan; `twins`
+// reads the flagged count.
+void BM_TieredTopk(benchmark::State& state) {
+  constexpr int kSessions = 10'300;
+  constexpr size_t kHotBytes = 1'600u << 10;
+  const bool restored = state.range(0) != 0;
+  const std::string dir = "/tmp/ts_topk_bench_" + std::to_string(::getpid());
+  const std::string cleanup = "rm -rf '" + dir + "'";
+  (void)std::system(cleanup.c_str());
+  ColdTierOptions cold_options;
+  cold_options.dir = dir;
+  cold_options.segment_target_bytes = 1u << 20;
+  auto cold = std::make_unique<ColdTier>(cold_options);
+  if (!cold->Start()) {
+    state.SkipWithError("cannot start the cold tier");
+    return;
+  }
+  const auto build = [](int n) {
+    Session s;
+    s.id = "session-" + std::to_string(n);
+    const int services = 1 + n % 4;
+    for (int i = 0; i < services; ++i) {
+      LogRecord r;
+      r.time = static_cast<EventTime>(n) * 1000 + i;
+      r.session_id = s.id;
+      r.txn_id = *TxnId::Parse("1-2");
+      r.service = static_cast<uint32_t>((n * 7 + i * 13) % 64);
+      r.payload = std::string(800 / static_cast<size_t>(services), 'p');
+      s.records.push_back(std::move(r));
+    }
+    return s;
+  };
+  SessionStore::Options options;
+  options.max_bytes = kHotBytes;
+  auto store = std::make_unique<SessionStore>(options);
+  ColdTier* tier = cold.get();
+  const auto attach = [tier](SessionStore* s) {
+    s->SetEvictionSink([tier](Session&& v) { tier->Append(std::move(v)); });
+    TrackColdTwins(*s, tier);
+  };
+  attach(store.get());
+  std::vector<Session> snapshot;
+  for (int n = 0; n < kSessions; ++n) {
+    store->Insert(build(n));
+    if (restored && n == kSessions - 1 - 650) {
+      // The snapshot: the hot window now, of which the next 650 inserts
+      // will evict about half to cold.
+      store->ForEachSession([&](const Session& s) { snapshot.push_back(s); });
+    }
+  }
+  if (restored) {
+    TrackColdTwins(*store, nullptr);
+    store = std::make_unique<SessionStore>(options);
+    attach(store.get());
+    store->ImportSnapshot(std::move(snapshot), kSessions, 0);
+  }
+  if (!tier->FlushPending()) {
+    state.SkipWithError("cold flush failed");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(TieredTopServices(*store, tier, 10));
+  }
+  state.counters["hot"] = static_cast<double>(store->stats().sessions);
+  state.counters["cold"] = static_cast<double>(tier->stats().sessions);
+  state.counters["segments"] = static_cast<double>(tier->stats().segments);
+  state.counters["twins"] = static_cast<double>(store->stats().cold_twins);
+  TrackColdTwins(*store, nullptr);
+  cold.reset();
+  (void)std::system(cleanup.c_str());
+}
+BENCHMARK(BM_TieredTopk)->ArgName("restored")->Arg(0)->Arg(1);
 
 void BM_TraceTreeBuild(benchmark::State& state) {
   const auto records = SampleRecords(20'000);

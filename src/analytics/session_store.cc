@@ -21,7 +21,17 @@ void SessionStore::InsertLocked(Entry entry) {
   entry.seq = next_seq_++;
   entries_.push_back(std::move(entry));
   auto it = std::prev(entries_.end());
-  by_id_[{it->session.id, it->session.fragment_index}] = it;
+  const SessionKeyView key(it->session.id, it->session.fragment_index);
+  auto by_id = by_id_.lower_bound(key);
+  if (by_id != by_id_.end() && !by_id_.key_comp()(key, by_id->first)) {
+    it->older_copy = &*by_id->second;
+    by_id->second = it;
+  } else {
+    by_id_.emplace_hint(by_id, SessionKey(key.first, key.second), it);
+  }
+  if (cold_probe_ && cold_probe_(key.first, key.second)) {
+    twins_.emplace(it->seq, &*it);
+  }
   for (uint32_t s : it->services) {
     by_service_[s].push_back(it);
   }
@@ -81,12 +91,16 @@ void SessionStore::Insert(Session session) {
   }
 }
 
-void SessionStore::Unindex(EntryList::iterator it) {
+SessionStore::Entry* SessionStore::Unindex(EntryList::iterator it) {
   // A later insert of the same (id, fragment) took over the key; the victim
   // only owns it if the mapping still points here.
-  const auto by_id = by_id_.find({it->session.id, it->session.fragment_index});
+  Entry* newer = nullptr;
+  const auto by_id =
+      by_id_.find(SessionKeyView(it->session.id, it->session.fragment_index));
   if (by_id != by_id_.end() && by_id->second == it) {
     by_id_.erase(by_id);
+  } else if (by_id != by_id_.end()) {
+    newer = &*by_id->second;
   }
   // The entry's service set is recorded at insert, so each service index is
   // trimmed directly — no scan over unrelated services. Eviction order is
@@ -110,6 +124,7 @@ void SessionStore::Unindex(EntryList::iterator it) {
       break;
     }
   }
+  return newer;
 }
 
 void SessionStore::EvictIfNeeded(EntryList* victims) {
@@ -118,9 +133,22 @@ void SessionStore::EvictIfNeeded(EntryList* victims) {
     stats_.bytes -= oldest->bytes;
     --stats_.sessions;
     ++stats_.evicted;
-    Unindex(oldest);
+    Entry* const newer = Unindex(oldest);
+    if (!twins_.empty() && twins_.begin()->first == oldest->seq) {
+      // The next tier already holds the key and keeps its copy: no longer a
+      // twin. Eviction is oldest-first, so a flagged victim heads twins_.
+      twins_.erase(twins_.begin());
+    }
     if (eviction_sink_) {
       eviction_sink_(std::move(oldest->session));
+    }
+    if (newer != nullptr && cold_probe_ &&
+        cold_probe_(newer->session.id, newer->session.fragment_index)) {
+      // An older copy went down while newer ones stay hot: each is a twin
+      // now. The chain of copies ends at the victim, the oldest entry.
+      for (Entry* copy = newer; copy != &*oldest; copy = copy->older_copy) {
+        twins_.emplace(copy->seq, copy);
+      }
     }
     victims->splice(victims->end(), entries_, oldest);
   }
@@ -129,7 +157,7 @@ void SessionStore::EvictIfNeeded(EntryList* victims) {
 std::optional<Session> SessionStore::GetById(const std::string& id,
                                              uint32_t fragment) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = by_id_.find({id, fragment});
+  auto it = by_id_.find(SessionKeyView(id, fragment));
   if (it == by_id_.end()) {
     return std::nullopt;
   }
@@ -140,7 +168,7 @@ std::vector<Session> SessionStore::GetAllFragments(const std::string& id) const 
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<Session> out;
   // by_id_ is ordered: fragments of one id are contiguous and ascending.
-  for (auto it = by_id_.lower_bound({id, 0});
+  for (auto it = by_id_.lower_bound(SessionKeyView(id, 0));
        it != by_id_.end() && it->first.first == id; ++it) {
     out.push_back(it->second->session);
   }
@@ -206,7 +234,37 @@ std::vector<std::pair<uint32_t, size_t>> SessionStore::TopServices(
 
 bool SessionStore::Contains(const std::string& id, uint32_t fragment) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return by_id_.find({id, fragment}) != by_id_.end();
+  return by_id_.find(SessionKeyView(id, fragment)) != by_id_.end();
+}
+
+void SessionStore::SetColdProbe(ColdProbe probe) {
+  std::lock_guard<std::mutex> lock(mu_);
+  twins_.clear();
+  cold_probe_ = std::move(probe);
+  if (cold_probe_) {
+    for (auto& entry : entries_) {
+      if (cold_probe_(entry.session.id, entry.session.fragment_index)) {
+        twins_.emplace(entry.seq, &entry);
+      }
+    }
+  }
+}
+
+void SessionStore::ReadServiceCensus(const CensusFn& fn) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<std::pair<uint32_t, size_t>> hot_counts;
+  hot_counts.reserve(by_service_.size());
+  for (const auto& [service, list] : by_service_) {
+    hot_counts.emplace_back(service, list.size());
+  }
+  std::vector<Twin> twins;
+  twins.reserve(twins_.size());
+  for (const auto& [seq, entry] : twins_) {
+    twins.push_back({SessionKeyView(entry->session.id,
+                                    entry->session.fragment_index),
+                     entry->services});
+  }
+  fn(hot_counts, twins);
 }
 
 void SessionStore::ForEachSession(
@@ -257,7 +315,9 @@ void SessionStore::ImportSnapshot(std::vector<Session> sessions,
 
 SessionStore::Stats SessionStore::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  Stats stats = stats_;
+  stats.cold_twins = twins_.size();
+  return stats;
 }
 
 void SessionStore::SetEvictionSink(EvictionSink sink, EvictionBarrier barrier) {

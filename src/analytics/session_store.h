@@ -19,6 +19,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -39,6 +40,7 @@ class SessionStore {
     size_t bytes = 0;
     uint64_t inserted = 0;
     uint64_t evicted = 0;
+    size_t cold_twins = 0;  // Entries flagged as twins (see SetColdProbe).
   };
 
   SessionStore() : SessionStore(Options()) {}
@@ -70,6 +72,39 @@ class SessionStore {
   // True when (id, fragment) is currently stored — the ts_ckpt restore path's
   // replay-window dedupe guard.
   bool Contains(const std::string& id, uint32_t fragment) const;
+
+  // --- Twins: entries the next tier down holds too ---
+  //
+  // A tiered count of the sessions per service must count a session held by
+  // both tiers once. Such a twin arises only when a key the next tier holds
+  // is inserted or imported (a restore), when an older hot copy of a key is
+  // evicted to that tier while a newer copy stays hot, or when the tier is
+  // attached to a store that already holds the key. The store flags twins at
+  // exactly those points, under mu_, by asking `probe`; it drops a flag when
+  // its entry is evicted (the tier already holds the key, so it keeps one
+  // copy). A flagged entry stays flagged if the tier later drops the key
+  // (shed), so readers re-check the flags they are handed.
+  //
+  // SetColdProbe attaches the next tier (a walk over every entry) or, with a
+  // null probe, detaches it and clears every flag. `probe` runs under mu_
+  // and may take the tier's own lock (lock order store -> tier), so it must
+  // not call back into the store. Without a probe an Insert pays one branch.
+  using ColdProbe = std::function<bool(std::string_view id, uint32_t fragment)>;
+  void SetColdProbe(ColdProbe probe);
+
+  struct Twin {
+    SessionKeyView key;
+    std::span<const uint32_t> services;  // Sorted, unique.
+  };
+  // What a tiered TOPK merges, taken in one mu_ critical section: every hot
+  // (service, session count) and every flagged twin. `fn` runs under mu_
+  // with spans valid only inside it; it may read the next tier (lock order
+  // store -> tier), so no eviction can move a session between that read and
+  // the hot one, but it must not call back into the store.
+  using CensusFn = std::function<void(
+      std::span<const std::pair<uint32_t, size_t>> hot_counts,
+      std::span<const Twin> twins)>;
+  void ReadServiceCensus(const CensusFn& fn) const;
 
   Stats stats() const;
 
@@ -173,6 +208,9 @@ class SessionStore {
     EventTime max_time = 0;
     uint64_t seq = 0;                // Insertion order.
     std::vector<uint32_t> services;  // Sorted, unique; mirrors by_service_.
+    // The next-older live entry with the same (id, fragment), if any: the
+    // chain an eviction walks to flag the newer copies as twins.
+    Entry* older_copy = nullptr;
   };
   using EntryList = std::list<Entry>;
 
@@ -184,15 +222,17 @@ class SessionStore {
   // caller destroys after unlocking, so no free runs under mu_ — and whose
   // non-emptiness tells the caller to run the eviction barrier.
   void EvictIfNeeded(EntryList* victims);
-  void Unindex(EntryList::iterator it);
+  // Returns the newest live entry that still holds the victim's key, or null
+  // when the victim was its only holder.
+  Entry* Unindex(EntryList::iterator it);
   void InsertLocked(Entry entry);  // Caller holds mu_.
   uint32_t EnterObserverRead();    // Returns the epoch to leave under.
 
   Options options_;
   mutable std::mutex mu_;
   EntryList entries_;  // Insertion (close) order: front = oldest.
-  // (id, fragment) -> entry.
-  std::map<std::pair<std::string, uint32_t>, EntryList::iterator> by_id_;
+  // (id, fragment) -> newest entry holding it.
+  std::map<SessionKey, EntryList::iterator, SessionKeyLess> by_id_;
   // service -> entries that touched it, insertion order preserved. Eviction
   // unindexes an entry from exactly the services in Entry::services; since
   // eviction is oldest-first, the victim sits at the front of each deque and
@@ -202,6 +242,8 @@ class SessionStore {
   std::multimap<EventTime, EntryList::iterator> by_time_;
   Stats stats_;
   uint64_t next_seq_ = 0;
+  ColdProbe cold_probe_;
+  std::map<uint64_t, Entry*> twins_;  // seq -> entry flagged as a twin.
   // Insert observers, read by Insert without a lock: observers_ points at
   // an immutable list (null when empty). An Insert that finds it non-null
   // enters a read (EnterObserverRead: counted in observer_readers_ under the

@@ -52,8 +52,9 @@ struct CheckpointState {
   uint64_t resume_offset = 0;
   // Which server-side stream partition the offset refers to.
   uint64_t stream = 0;
-  // Global prefix-max event-time watermark at the barrier.
-  EventTime ingest_watermark = 0;
+  // Global prefix-max event-time watermark at the barrier;
+  // LiveCloser::kNoWatermark when no record had been seen.
+  EventTime ingest_watermark = LiveCloser::kNoWatermark;
   // Counter continuity for the restarted process's gauges and report.
   uint64_t records = 0;          // Parsed records up to the barrier.
   uint64_t parse_failures = 0;

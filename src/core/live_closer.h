@@ -76,6 +76,11 @@ class LiveCloser {
   // session id (the offline job's grouping without an inactivity split).
   static constexpr EventTime kNoIdleSplit =
       std::numeric_limits<EventTime>::max();
+  // The watermark before any has been observed. Event times come off the
+  // wire and may be negative, so it is the least time, not 0: no record can
+  // be behind it, and a closer holding it expires nothing a window wide.
+  static constexpr EventTime kNoWatermark =
+      std::numeric_limits<EventTime>::min();
 
   // `inactivity_ns` >= 0, or kNoIdleSplit.
   explicit LiveCloser(EventTime inactivity_ns)
@@ -203,7 +208,7 @@ class LiveCloser {
   void Sift(size_t pos);
 
   EventTime inactivity_ns_;
-  EventTime watermark_ = 0;
+  EventTime watermark_ = kNoWatermark;
   uint64_t sessions_emitted_ = 0;
   uint64_t records_emitted_ = 0;
   uint64_t open_records_ = 0;

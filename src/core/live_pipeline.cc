@@ -301,6 +301,8 @@ void LivePipeline::RestoreCheckpoint(PipelineCheckpoint&& checkpoint) {
     std::lock_guard<std::mutex> lock(miner_mu_);
     miner_->Import(checkpoint.miner);
   }
+  // A snapshot taken before any record carries LiveCloser::kNoWatermark,
+  // which the max below and ObserveWatermark leave as "none yet".
   ingest_watermark_ = std::max(ingest_watermark_, checkpoint.ingest_watermark);
   for (auto& fragment : checkpoint.closers.open) {
     shards_[ShardOf(fragment.id)]->closer.ImportFragment(std::move(fragment));
@@ -571,6 +573,9 @@ EventTime LivePipeline::watermark() const {
   bool first = true;
   for (const auto& s : shards_) {
     const EventTime wm = s->watermark.load(std::memory_order_relaxed);
+    if (wm == LiveCloser::kNoWatermark) {
+      return 0;  // A shard has seen none yet.
+    }
     min_wm = first ? wm : std::min(min_wm, wm);
     first = false;
   }

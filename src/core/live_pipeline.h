@@ -138,7 +138,7 @@ struct LiveShardSnapshot {
 struct PipelineCheckpoint {
   uint64_t records = 0;          // Parsed records fed up to the barrier.
   uint64_t parse_failures = 0;   // Unparseable lines up to the barrier.
-  EventTime ingest_watermark = 0;
+  EventTime ingest_watermark = LiveCloser::kNoWatermark;
   LiveCloserState closers;       // Merged across shards.
   // Template-miner state at the barrier position (mine_templates only).
   // Exported on the ingest thread at BeginCheckpoint, so it corresponds to
@@ -296,7 +296,8 @@ class LivePipeline {
   // memory held between eviction and destruction).
   uint64_t retired_sessions() const;
   size_t retire_pending() const;
-  // Min-across-shards processed watermark (0 until every shard has seen one).
+  // Min-across-shards processed watermark (0 until every shard has seen one,
+  // so gauges never show LiveCloser::kNoWatermark).
   EventTime watermark() const;
   // Global ingest-side watermark (prefix max of event time).
   EventTime ingest_watermark() const { return ingest_watermark_; }
@@ -369,7 +370,7 @@ class LivePipeline {
     std::atomic<uint64_t> sessions_closed{0};
     std::atomic<size_t> open_sessions{0};
     std::atomic<size_t> open_bytes{0};
-    std::atomic<int64_t> watermark{0};
+    std::atomic<int64_t> watermark{LiveCloser::kNoWatermark};
     std::atomic<int64_t> cpu_ns{0};
     std::atomic<uint64_t> records_emitted{0};
     std::atomic<uint64_t> open_records{0};
@@ -383,7 +384,7 @@ class LivePipeline {
     std::atomic<uint64_t> retired_sessions{0};
     std::vector<double> close_latencies_ms;  // Worker-owned until join.
     Batch pending;  // Ingest-thread-owned accumulation buffer.
-    EventTime last_tick_watermark = -1;
+    EventTime last_tick_watermark = LiveCloser::kNoWatermark;
   };
 
   // Common ingest step for both Feed paths: `line` (already newline/CR
@@ -405,7 +406,8 @@ class LivePipeline {
   // shard emits, so no pipeline sink can Retire() anything, and each worker
   // frees its last queue on its own thread.
   std::latch workers_done_;
-  EventTime ingest_watermark_ = 0;  // Ingest thread only.
+  // Ingest thread only.
+  EventTime ingest_watermark_ = LiveCloser::kNoWatermark;
   // Backing storage for FeedLine copies and mined rewrites; rotated so
   // drained batches can release old bytes. Ingest thread only.
   ArenaRef feed_arena_;

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/time_util.h"
@@ -63,6 +65,22 @@ struct Session {
       bytes += r.MemoryFootprint();
     }
     return bytes;
+  }
+};
+
+// (session id, fragment index): the key both store tiers index sessions by.
+using SessionKey = std::pair<std::string, uint32_t>;
+using SessionKeyView = std::pair<std::string_view, uint32_t>;
+
+// Orders SessionKeys as std::pair's operator< does, and compares them with
+// SessionKeyViews too, so a map keyed by SessionKey is probed without
+// copying the id.
+struct SessionKeyLess {
+  using is_transparent = void;
+  template <typename A, typename B>
+  bool operator()(const A& a, const B& b) const {
+    const int order = std::string_view(a.first).compare(b.first);
+    return order < 0 || (order == 0 && a.second < b.second);
   }
 };
 

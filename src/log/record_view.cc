@@ -76,15 +76,20 @@ bool ExtractRouteKey(const RecordView& view, EventTime* time,
   // Unsigned accumulation: wraps (defined) instead of signed overflow on
   // absurd digit runs; identical to the historical value for any time that
   // fits in int64, which is all the watermark contract ever promised.
+  // A leading '-' is taken as ParseI64 takes it: times may be negative.
+  const bool negative = view.line[0] == '-';
+  if (negative && p0 == 1) {
+    return false;
+  }
   uint64_t t = 0;
-  for (size_t i = 0; i < p0; ++i) {
+  for (size_t i = negative ? 1 : 0; i < p0; ++i) {
     const char c = view.line[i];
     if (c < '0' || c > '9') {
       return false;
     }
     t = t * 10 + static_cast<uint64_t>(c - '0');
   }
-  *time = static_cast<EventTime>(t);
+  *time = static_cast<EventTime>(negative ? 0 - t : t);
   *session_id = view.line.substr(p0 + 1, p1 - p0 - 1);
   return true;
 }

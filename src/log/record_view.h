@@ -52,9 +52,9 @@ RecordView ScanRecord(std::string_view line);
 RecordView ScanRecordScalar(std::string_view line);
 
 // Route-key extraction over a pre-scanned view: the event time (first field,
-// all digits, wrap-around accumulation) and the session id (second field).
-// Same accept/reject behavior the pre-view ingest used, now shared by both
-// the line and block paths so routing cannot diverge between them.
+// an optional '-' then digits, wrap-around accumulation) and the session id
+// (second field). Shared by the line and block paths so routing cannot
+// diverge between them.
 bool ExtractRouteKey(const RecordView& view, EventTime* time,
                      std::string_view* session_id);
 

@@ -85,6 +85,14 @@ QueryServer::~QueryServer() {
   if (active_filters_ != nullptr) {
     store_->RemoveInsertObserver(active_filters_.get());
   }
+  if (cold_ != nullptr) {
+    TrackColdTwins(*store_, nullptr);  // The store may outlive the tier.
+  }
+}
+
+void QueryServer::SetColdTier(std::shared_ptr<ColdTier> cold) {
+  cold_ = std::move(cold);
+  TrackColdTwins(*store_, cold_.get());
 }
 
 bool QueryServer::Start() {
@@ -380,6 +388,7 @@ void QueryServer::AppendStats(Connection* conn, uint64_t* lines) {
     stat("store_cold_shed_sessions", cold.shed_sessions);
     stat("store_cold_shed_bytes", cold.shed_bytes);
     stat("store_cold_shedding", cold.shedding ? 1 : 0);
+    stat("store_cold_twins", store_stats.cold_twins);
   }
   if (metrics_ != nullptr) {
     for (const auto& [name, value] : metrics_->Snapshot()) {

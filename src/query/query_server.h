@@ -106,8 +106,9 @@ class QueryServer {
   // thread reads it without further synchronization. With a tier attached,
   // GET/FRAGMENTS/SERVICE/RANGE/TOPK answer over hot ∪ cold through
   // src/store/tiered_reads.h, and STATS grows store_cold_* gauges —
-  // history is bounded only by disk.
-  void SetColdTier(std::shared_ptr<ColdTier> cold) { cold_ = std::move(cold); }
+  // history is bounded only by disk. Attaching makes the store track its
+  // cold twins (TrackColdTwins) until this server goes away.
+  void SetColdTier(std::shared_ptr<ColdTier> cold);
 
   uint16_t port() const { return port_; }
 

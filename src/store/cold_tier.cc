@@ -145,8 +145,9 @@ void ColdTier::Append(Session&& session) {
   if (stop_) {
     return;  // Abandoned/destroyed: the victim is lost, crash-equivalent.
   }
-  const auto key = std::make_pair(session.id, session.fragment_index);
-  if (by_id_.count(key) != 0) {
+  const SessionKeyView key(session.id, session.fragment_index);
+  const auto slot = by_id_.lower_bound(key);
+  if (slot != by_id_.end() && !by_id_.key_comp()(key, slot->first)) {
     ++dedup_dropped_;  // Already cold (replay after restore re-evicts).
     return;
   }
@@ -159,7 +160,9 @@ void ColdTier::Append(Session&& session) {
   for (uint32_t s : entry.services) {
     ++service_counts_[s];
   }
-  by_id_[key] = next_order_++;
+  by_id_.emplace_hint(
+      slot, SessionKey(entry.session.id, entry.session.fragment_index),
+      next_order_++);
   pending_bytes_ += entry.bytes;
   pending_.push_back(std::move(entry));
   ++spilled_;
@@ -239,8 +242,7 @@ void ColdTier::SpillLoop() {
         // an ever-growing backlog wedging eviction.
         for (size_t i = 0; i < k; ++i) {
           PendingEntry& e = pending_.front();
-          by_id_.erase(
-              std::make_pair(e.session.id, e.session.fragment_index));
+          EraseId(e.session);
           for (uint32_t s : e.services) {
             const auto it = service_counts_.find(s);
             if (it != service_counts_.end() && --it->second == 0) {
@@ -312,7 +314,7 @@ void ColdTier::Abandon() {
     // Un-index the discarded pending entries so the tier stays consistent:
     // only what actually reached disk remains visible, as after a real kill.
     for (const auto& e : pending_) {
-      by_id_.erase(std::make_pair(e.session.id, e.session.fragment_index));
+      EraseId(e.session);
       for (uint32_t s : e.services) {
         const auto it = service_counts_.find(s);
         if (it != service_counts_.end() && --it->second == 0) {
@@ -351,9 +353,17 @@ int ColdTier::LocateLocked(uint64_t order, uint32_t* entry_index) const {
   return static_cast<int>(seg);
 }
 
-bool ColdTier::Contains(const std::string& id, uint32_t fragment) const {
+bool ColdTier::Contains(std::string_view id, uint32_t fragment) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return by_id_.count(std::make_pair(id, fragment)) != 0;
+  return by_id_.find(SessionKeyView(id, fragment)) != by_id_.end();
+}
+
+void ColdTier::EraseId(const Session& session) {
+  const auto it =
+      by_id_.find(SessionKeyView(session.id, session.fragment_index));
+  if (it != by_id_.end()) {
+    by_id_.erase(it);
+  }
 }
 
 bool ColdTier::Read(const Candidate& candidate, Session* out) {
@@ -362,7 +372,8 @@ bool ColdTier::Read(const Candidate& candidate, Session* out) {
   uint32_t length = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = by_id_.find(std::make_pair(candidate.id, candidate.fragment));
+    const auto it =
+        by_id_.find(SessionKeyView(candidate.id, candidate.fragment));
     if (it == by_id_.end()) {
       ++misses_;
       return false;
@@ -482,7 +493,7 @@ std::vector<ColdTier::Candidate> ColdTier::CollectFragments(
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<Candidate> out;
   // by_id_ is ordered: fragments of one id are contiguous and ascending.
-  for (auto it = by_id_.lower_bound(std::make_pair(id, 0u));
+  for (auto it = by_id_.lower_bound(SessionKeyView(id, 0));
        it != by_id_.end() && it->first.first == id; ++it) {
     out.push_back(CandidateLocked(it->second));
   }
@@ -521,8 +532,16 @@ std::vector<ColdTier::Candidate> ColdTier::CollectByService(
       limit, /*newest_first=*/true);
 }
 
-std::vector<std::pair<uint32_t, uint64_t>> ColdTier::ServiceCounts() const {
+std::vector<std::pair<uint32_t, uint64_t>> ColdTier::ServiceCounts(
+    std::span<const SessionKeyView> keys, std::vector<bool>* held) const {
   std::lock_guard<std::mutex> lock(mu_);
+  if (held != nullptr) {
+    held->clear();
+    held->reserve(keys.size());
+    for (const SessionKeyView& key : keys) {
+      held->push_back(by_id_.find(key) != by_id_.end());
+    }
+  }
   return {service_counts_.begin(), service_counts_.end()};
 }
 

@@ -69,7 +69,9 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -167,7 +169,7 @@ class ColdTier {
   // state a crashed process leaves on disk. Durable segments stay readable.
   void Abandon();
 
-  bool Contains(const std::string& id, uint32_t fragment) const;
+  bool Contains(std::string_view id, uint32_t fragment) const;
 
   // Point read; counts a hit, a miss, or (on CRC damage) corrupt.
   std::optional<Session> Get(const std::string& id, uint32_t fragment);
@@ -187,7 +189,11 @@ class ColdTier {
   bool Read(const Candidate& candidate, Session* out);
 
   // service -> cold session count, service-ascending (TOPK merge input).
-  std::vector<std::pair<uint32_t, uint64_t>> ServiceCounts() const;
+  // With `keys`, also sets (*held)[i] to whether the tier holds keys[i], in
+  // the same critical section: a shed cannot fall between the two reads.
+  std::vector<std::pair<uint32_t, uint64_t>> ServiceCounts(
+      std::span<const SessionKeyView> keys = {},
+      std::vector<bool>* held = nullptr) const;
 
   // Every distinct cold session id, ascending (digest/test support). Runs
   // `fn` under the tier lock: collect, don't call back into the tier.
@@ -210,6 +216,7 @@ class ColdTier {
   };
 
   void SpillLoop();
+  void EraseId(const Session& session);  // Un-indexes its key (mu_ held).
   bool WantSpillLocked() const;
   // Locates `order` (mu_ held). Returns segment index, or -1 for pending.
   int LocateLocked(uint64_t order, uint32_t* entry_index) const;
@@ -240,7 +247,7 @@ class ColdTier {
   uint64_t flush_until_ = 0;            // Spill everything below this order.
   uint64_t next_segment_seq_ = 0;       // Next segment file name.
   // (id, fragment) -> spill order, across segments and pending.
-  std::map<std::pair<std::string, uint32_t>, uint64_t> by_id_;
+  std::map<SessionKey, uint64_t, SessionKeyLess> by_id_;
   std::map<uint32_t, uint64_t> service_counts_;
 
   // Counters (mu_-guarded; mirrors Stats).

@@ -4,6 +4,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <span>
 #include <string_view>
 
 namespace ts {
@@ -85,6 +86,16 @@ bool TieredContains(const SessionStore& hot, const ColdTier* cold,
          (cold != nullptr && cold->Contains(id, fragment));
 }
 
+void TrackColdTwins(SessionStore& hot, const ColdTier* cold) {
+  if (cold == nullptr) {
+    hot.SetColdProbe(nullptr);
+    return;
+  }
+  hot.SetColdProbe([cold](std::string_view id, uint32_t fragment) {
+    return cold->Contains(id, fragment);
+  });
+}
+
 std::vector<std::pair<uint32_t, uint64_t>> TieredTopServices(
     const SessionStore& hot, const ColdTier* cold, size_t k) {
   std::vector<std::pair<uint32_t, uint64_t>> top;
@@ -94,33 +105,41 @@ std::vector<std::pair<uint32_t, uint64_t>> TieredTopServices(
     }
     return top;
   }
-  // Merge the live counts with the cold tier's per-segment summaries (no
-  // frame reads), then re-rank.
-  std::map<uint32_t, uint64_t> counts;
-  for (const auto& [service, count] :
-       hot.TopServices(std::numeric_limits<size_t>::max())) {
-    counts[service] += count;
-  }
-  for (const auto& [service, count] : cold->ServiceCounts()) {
-    counts[service] += count;
-  }
-  if (cold->stats().sessions > 0) {
-    // Post-restore a session can sit in both tiers; both sums above counted
-    // it, so subtract the overlap once — the unbounded reference holds each
-    // session exactly once.
-    hot.ForEachSession([&](const Session& s) {
-      if (!cold->Contains(s.id, s.fragment_index)) {
-        return;
+  // Hot counts, the cold tier's per-segment summaries (no frame reads) and
+  // the twins, read under the store lock; merged and ranked after it.
+  std::vector<std::pair<uint32_t, size_t>> hot_counts;
+  std::vector<std::pair<uint32_t, uint64_t>> cold_counts;
+  std::vector<uint32_t> twin_services;
+  hot.ReadServiceCensus([&](std::span<const std::pair<uint32_t, size_t>> counts,
+                            std::span<const SessionStore::Twin> twins) {
+    hot_counts.assign(counts.begin(), counts.end());
+    std::vector<SessionKeyView> keys;
+    keys.reserve(twins.size());
+    for (const auto& twin : twins) {
+      keys.push_back(twin.key);
+    }
+    std::vector<bool> held;
+    cold_counts = cold->ServiceCounts(keys, &held);
+    // A flagged twin whose cold copy was shed since is hot-only again.
+    for (size_t i = 0; i < twins.size(); ++i) {
+      if (held[i]) {
+        twin_services.insert(twin_services.end(), twins[i].services.begin(),
+                             twins[i].services.end());
       }
-      for (uint32_t service : s.Services()) {
-        const auto it = counts.find(service);
-        if (it != counts.end() && --it->second == 0) {
-          counts.erase(it);
-        }
-      }
-    });
+    }
+  });
+  // Both tiers counted each twin; the unbounded reference holds it once.
+  std::map<uint32_t, uint64_t> merged(cold_counts.begin(), cold_counts.end());
+  for (const auto& [service, count] : hot_counts) {
+    merged[service] += count;
   }
-  top.assign(counts.begin(), counts.end());
+  for (uint32_t service : twin_services) {
+    const auto it = merged.find(service);
+    if (it != merged.end() && --it->second == 0) {
+      merged.erase(it);
+    }
+  }
+  top.assign(merged.begin(), merged.end());
   const size_t keep = std::min(k, top.size());
   std::partial_sort(top.begin(), top.begin() + static_cast<ptrdiff_t>(keep),
                     top.end(), [](const auto& a, const auto& b) {

@@ -55,9 +55,25 @@ std::vector<Session> TieredFragments(const SessionStore& hot, ColdTier* cold,
 bool TieredContains(const SessionStore& hot, const ColdTier* cold,
                     const std::string& id, uint32_t fragment);
 
+// Makes `hot` flag its twins — entries `cold` holds too — so that
+// TieredTopServices can count each session once without a scan. Walks the
+// store once; null detaches. Call wherever the tier is attached to the
+// store, before or after a restore into it, and detach before the tier goes
+// away. From then on the tier must gain keys only through the store's
+// eviction sink.
+void TrackColdTwins(SessionStore& hot, const ColdTier* cold);
+
 // The `k` services touched by the most sessions over all history, as
 // (service, session count) descending by count, ties to the lower service.
-// A session evicted between the hot and the cold read can be counted twice.
+//
+// Twin rule: hot counts + cold counts - the services of every twin, where a
+// twin is a hot entry whose (id, fragment) the cold tier also holds (a
+// post-restore overlap, or an older duplicate evicted while a newer copy
+// stayed hot). The store flags twins where they arise (TrackColdTwins), and
+// all three terms are read in one store-lock critical section (lock order
+// store -> cold), so a concurrent eviction is never counted twice. Cost:
+// O(#services + #twins), one cold-lock acquisition, no store scan; a flagged
+// twin whose cold copy was shed is re-checked and counted hot only.
 std::vector<std::pair<uint32_t, uint64_t>> TieredTopServices(
     const SessionStore& hot, const ColdTier* cold, size_t k);
 

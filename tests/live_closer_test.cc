@@ -330,20 +330,21 @@ TEST(LiveCloserTest, ExtremeTimesExpireWithoutOverflow) {
   LiveCloser windowed(5 * kSec);
   std::vector<Session> closed;
   feed_extremes(&windowed, &closed);
-  // A is far behind the watermark (0, then kMax) at every step: each of its
-  // records closes alone. B's records are one nanosecond apart, inside the
-  // window, at the very top of the range.
-  ASSERT_EQ(closed.size(), 2u);
+  // Before any record there is no watermark, so A's first record is not
+  // behind one: A's records, one nanosecond apart at the very bottom of the
+  // range, stay one fragment, which the watermark kMax - 1 then closes. B's
+  // records, inside the window at the very top of the range, stay open.
+  ASSERT_EQ(closed.size(), 1u);
   EXPECT_EQ(closed[0].id, "A");
+  EXPECT_EQ(closed[0].fragment_index, 0u);
+  ASSERT_EQ(closed[0].records.size(), 2u);
   EXPECT_EQ(closed[0].records[0].time, kMin);
-  EXPECT_EQ(closed[1].id, "A");
-  EXPECT_EQ(closed[1].fragment_index, 1u);
-  EXPECT_EQ(closed[1].records[0].time, kMin + 1);
+  EXPECT_EQ(closed[0].records[1].time, kMin + 1);
   EXPECT_EQ(windowed.open_sessions(), 1u);
   windowed.FlushAll(&closed);
-  ASSERT_EQ(closed.size(), 3u);
-  EXPECT_EQ(closed[2].id, "B");
-  EXPECT_EQ(closed[2].records.size(), 2u);
+  ASSERT_EQ(closed.size(), 2u);
+  EXPECT_EQ(closed[1].id, "B");
+  EXPECT_EQ(closed[1].records.size(), 2u);
 
   LiveCloser unbounded(LiveCloser::kNoIdleSplit);
   closed.clear();

@@ -233,6 +233,96 @@ TEST(LiveNodeRestore, StaleResumeOffsetIsCaughtByTheDedupeGuard) {
             0);
 }
 
+std::map<std::string, int64_t> StatsOf(const LiveNode& node) {
+  QueryClientOptions client_options;
+  client_options.port = node.query_port();
+  QueryClient client(client_options);
+  EXPECT_TRUE(client.Connect());
+  const QueryResponse response = client.Stats();
+  EXPECT_TRUE(response.ok);
+  return {response.stats.begin(), response.stats.end()};
+}
+
+// A snapshot restored over cold segments that already hold some of its
+// sessions (they were evicted and flushed after the snapshot was taken)
+// leaves those sessions in both tiers: STATS counts them as store_cold_twins,
+// and TOPK counts each once. The gauge falls back to 0 once the stream has
+// pushed them out of the hot window again.
+TEST(LiveNodeRestore, ColdTwinsOfARestoredSnapshotAreCountedUntilEvicted) {
+  const std::string dir = TempDir("ts_node_twins");
+  ASSERT_EQ(std::system(("mkdir -p '" + dir + "'").c_str()), 0);
+  constexpr int kRestored = 24;
+  constexpr int kTwins = 16;  // The first 16 are in the cold segments too.
+  CheckpointState state;
+  for (int i = 0; i < kRestored; ++i) {
+    Session s;
+    s.id = "RESTORED-" + std::to_string(i);
+    for (int j = 0; j < 3; ++j) {
+      LogRecord r;
+      r.time = static_cast<EventTime>(i) * kNanosPerMilli + j;
+      r.session_id = s.id;
+      r.txn_id = *TxnId::Parse("1-" + std::to_string(j + 1));
+      r.service = 900 + static_cast<uint32_t>(j);
+      r.host = 1;
+      r.kind = EventKind::kAnnotation;
+      r.payload = "p";
+      s.records.push_back(std::move(r));
+    }
+    state.store_sessions.push_back(std::move(s));
+  }
+  state.store_inserted = kRestored;
+  {
+    ColdTierOptions cold_options;
+    cold_options.dir = dir + "/cold";
+    ColdTier cold(cold_options);
+    ASSERT_TRUE(cold.Start());
+    for (int i = 0; i < kTwins; ++i) {
+      cold.Append(Session(state.store_sessions[i]));
+    }
+    ASSERT_TRUE(cold.FlushPending());
+    CheckpointerOptions ckpt_options;
+    ckpt_options.dir = dir + "/ckpt";
+    Checkpointer ckpt(ckpt_options);
+    ASSERT_TRUE(ckpt.Write(state));
+  }
+
+  const auto archive = MakeArchive(/*records_per_sec=*/2'000, /*seconds=*/1);
+  PrefixUpstream upstream;
+  LiveNodeOptions options = TestNodeOptions(upstream.port(), /*workers=*/2);
+  options.store.max_bytes = 64u << 10;
+  options.checkpoint.emplace();
+  options.checkpoint->dir = dir + "/ckpt";
+  options.cold.emplace();
+  options.cold->dir = dir + "/cold";
+  LiveNode node(std::move(options), nullptr, /*log=*/nullptr);
+  ASSERT_TRUE(node.Start());
+  ASSERT_EQ(node.store()->stats().sessions, static_cast<size_t>(kRestored));
+  std::map<std::string, int64_t> stat = StatsOf(node);
+  EXPECT_EQ(stat["store_cold_twins"], kTwins);
+  QueryClientOptions client_options;
+  client_options.port = node.query_port();
+  QueryClient client(client_options);
+  ASSERT_TRUE(client.Connect());
+  QueryResponse top;
+  ASSERT_TRUE(client.Execute("TOPK 3", &top));
+  const std::vector<std::pair<uint32_t, uint64_t>> each_once = {
+      {900, kRestored}, {901, kRestored}, {902, kRestored}};
+  EXPECT_EQ(top.top, each_once);
+
+  upstream.Serve(*archive, archive->size());
+  node.Run();
+  node.Shutdown();
+  for (int i = 0; i < kRestored; ++i) {
+    ASSERT_FALSE(node.store()->Contains("RESTORED-" + std::to_string(i), 0))
+        << "the stream did not push the restored sessions out";
+  }
+  stat = StatsOf(node);
+  EXPECT_EQ(stat["store_cold_twins"], 0);
+  ASSERT_TRUE(client.Execute("TOPK 3", &top));
+  EXPECT_EQ(top.top, each_once);  // Now all cold, still each once.
+  EXPECT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
+}
+
 // Restore arms the closer's expiry index: a fragment open at the checkpoint
 // that gets no record after the restart closes on a watermark-only tick,
 // while the stream is still live — not at Shutdown's end-of-stream flush.
@@ -542,6 +632,87 @@ TEST(LiveNodeCallerFed, UnboundedWindowMatchesTheOfflineOracle) {
     EXPECT_EQ(node.Step(), SocketIngestSource::Poll::kEndOfStream);
     node.Shutdown();
     EXPECT_EQ(node.ingest_records(), archive->size());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, expected) << workers << " worker(s)";
+  }
+}
+
+// Event times come off the wire as any int64. Under a finite window, sessions
+// keyed before 0 (and across it) split exactly where the offline job splits
+// them: at gaps wider than the window, not at every record. The gaps are 1 ms
+// or 5 s against a 1 s window, so the offline rule (split at a gap > window)
+// and the live one (at a gap >= window) agree.
+TEST(LiveNodeCallerFed, NegativeTimesUnderAWindowMatchTheOfflineOracle) {
+  constexpr EventTime kMs = kNanosPerMilli;
+  constexpr EventTime kSec = kNanosPerSecond;
+  std::vector<LogRecord> records;
+  for (int i = 0; i < 40; ++i) {
+    // Starts from -100 s to just past 0; every third session resumes 5 s on.
+    const EventTime start = -100 * kSec + static_cast<EventTime>(i) * 2600 * kMs;
+    for (int burst = 0; burst < (i % 3 == 0 ? 2 : 1); ++burst) {
+      for (int j = 0; j < 4; ++j) {
+        LogRecord r;
+        r.time = start + burst * 5 * kSec + j * kMs;
+        r.session_id = "N" + std::to_string(i);
+        r.txn_id = *TxnId::Parse("1-" + std::to_string(burst * 4 + j + 1));
+        r.service = static_cast<uint32_t>(i % 5);
+        r.host = r.service;
+        r.kind = EventKind::kAnnotation;
+        r.payload = "p" + std::to_string(j);
+        records.push_back(std::move(r));
+      }
+    }
+  }
+  for (int j = 0; j < 4; ++j) {  // One session straddling 0, 1 ms apart.
+    LogRecord r = records.front();
+    r.time = (j - 2) * kMs;
+    r.session_id = "Z";
+    r.txn_id = *TxnId::Parse("1-" + std::to_string(j + 1));
+    records.push_back(std::move(r));
+  }
+  std::stable_sort(records.begin(), records.end(),
+                   [](const LogRecord& a, const LogRecord& b) {
+                     return a.time < b.time;
+                   });
+  ASSERT_LT(records.front().time, -99 * kSec);
+  ASSERT_GT(records.back().time, 0);
+  std::vector<std::string> lines;
+  for (const auto& r : records) {
+    lines.push_back(ToWireFormat(r));
+  }
+  OfflineOptions offline;
+  offline.inactivity_split_ns = kSec;
+  std::vector<std::string> expected;
+  for (const auto& s : OfflineSessionizer::Sessionize(records, offline)) {
+    expected.push_back(Canonical(s));
+  }
+  std::sort(expected.begin(), expected.end());
+  ASSERT_EQ(expected.size(), 41u + 14u);  // One split per resumed session.
+
+  for (const size_t workers : {1, 4}) {
+    LiveNodeOptions options;
+    options.pipeline.workers = workers;
+    options.pipeline.inactivity_ns = kSec;
+    std::mutex mu;
+    std::vector<std::string> got;
+    LiveNode node(
+        std::move(options),
+        [&](const Session& s, size_t) {
+          std::lock_guard<std::mutex> lock(mu);
+          got.push_back(Canonical(s));
+        },
+        /*log=*/nullptr);
+    ASSERT_TRUE(node.Start());
+    size_t fed = 0;
+    for (const auto& line : lines) {
+      node.pipeline()->FeedLine(line);
+      if (++fed % 16 == 0) {
+        node.pipeline()->Flush();
+      }
+    }
+    node.pipeline()->Flush();
+    node.Shutdown();
+    EXPECT_EQ(node.ingest_records(), lines.size());
     std::sort(got.begin(), got.end());
     EXPECT_EQ(got, expected) << workers << " worker(s)";
   }

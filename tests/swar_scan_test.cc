@@ -17,6 +17,7 @@
 //      LivePipeline::FeedBlock == FeedLine on the same stream (identical
 //      session digests at 1/2/4 workers).
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -271,6 +272,16 @@ TEST(RecordViewParity, RouteKeyMatchesParsedFields) {
   EXPECT_FALSE(ExtractRouteKey(ScanRecord("1||rest"), &time, &session));
   EXPECT_FALSE(ExtractRouteKey(ScanRecord("|s|rest"), &time, &session));
   EXPECT_FALSE(ExtractRouteKey(ScanRecord("nodelims"), &time, &session));
+  EXPECT_FALSE(ExtractRouteKey(ScanRecord("-|s|rest"), &time, &session));
+  EXPECT_FALSE(ExtractRouteKey(ScanRecord("--1|s|rest"), &time, &session));
+  // Negative times route by session id like any other: a session keyed
+  // before 0 must not scatter across shards.
+  ASSERT_TRUE(ExtractRouteKey(ScanRecord("-1500|neg|rest"), &time, &session));
+  EXPECT_EQ(time, -1500);
+  EXPECT_EQ(session, "neg");
+  ASSERT_TRUE(ExtractRouteKey(ScanRecord("-9223372036854775808|m|rest"), &time,
+                              &session));
+  EXPECT_EQ(time, std::numeric_limits<EventTime>::min());
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <latch>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -407,6 +408,106 @@ void BM_TieredTopk(benchmark::State& state) {
 }
 BENCHMARK(BM_TieredTopk)->ArgName("restored")->Arg(0)->Arg(1);
 
+// A short session for the store-index benchmarks: two records, a random
+// 23-character id like the generator's, a start n ms in plus up to 3 ms of
+// jitter (start order is not insertion order) and a 1-3 ms extent.
+Session ShortSession(Rng& rng, uint64_t n) {
+  static const char kAlphabet[] = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ";
+  Session s;
+  s.id.reserve(24);
+  for (int i = 0; i < 23; ++i) {
+    s.id.push_back(kAlphabet[rng.NextBelow(36)]);
+  }
+  const auto start = static_cast<EventTime>(n + rng.NextBelow(4));
+  const auto length = static_cast<EventTime>(1 + rng.NextBelow(3));
+  for (EventTime t : {start, start + length}) {
+    LogRecord r;
+    r.time = t * kNanosPerMilli;
+    r.session_id = s.id;
+    r.txn_id = *TxnId::Parse("1-2");
+    r.service = static_cast<uint32_t>(rng.NextBelow(64));
+    r.payload = "short payload";
+    s.records.push_back(std::move(r));
+  }
+  return s;
+}
+
+// One Insert into a SessionStore that already holds 100k short sessions:
+// the by-id, by-service and time indexes at the scale of a steady trace.
+// Arg 0: no budget, so nothing is evicted and the store keeps growing (a
+// fixed 50k inserts, to 150k). Arg 1: a budget of 100k sessions, so each
+// insert also evicts about one. Sessions are built in batches with the
+// timer paused; victims are destroyed inside Insert, as without a sink.
+void BM_StoreInsertAtScale(benchmark::State& state) {
+  constexpr uint64_t kHeld = 100'000;
+  constexpr size_t kBatch = 4096;
+  const bool evict = state.range(0) != 0;
+  Rng rng(23);
+  SessionStore::Options options;
+  options.max_bytes = std::numeric_limits<size_t>::max();
+  if (evict) {
+    Rng probe(23);
+    options.max_bytes = kHeld * ShortSession(probe, 0).MemoryFootprint();
+  }
+  SessionStore store(options);
+  uint64_t n = 0;
+  while (n < kHeld || (evict && store.stats().evicted == 0)) {
+    store.Insert(ShortSession(rng, n++));
+  }
+  const uint64_t evicted_before = store.stats().evicted;
+  std::vector<Session> batch;
+  size_t next = 0;
+  for (auto _ : state) {
+    if (next == batch.size()) {
+      state.PauseTiming();
+      batch.clear();
+      for (size_t i = 0; i < kBatch; ++i) {
+        batch.push_back(ShortSession(rng, n++));
+      }
+      next = 0;
+      state.ResumeTiming();
+    }
+    store.Insert(std::move(batch[next++]));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["held"] = static_cast<double>(store.stats().sessions);
+  state.counters["evicted_per_insert"] =
+      static_cast<double>(store.stats().evicted - evicted_before) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_StoreInsertAtScale)
+    ->ArgName("evict")
+    ->Arg(0)
+    ->Arg(1)
+    ->Iterations(50'000);
+
+// RANGE, limit 10, over a SessionStore holding Arg 0 short sessions (1.3k
+// is perfbench's tiered_reads hot window, 100k a steady trace's): a 20 ms
+// window among the newest starts (Arg 1 = 0) or the oldest (Arg 1 = 1).
+// `returned` reads 10.
+void BM_StoreRange(benchmark::State& state) {
+  const auto held = static_cast<uint64_t>(state.range(0));
+  const bool old = state.range(1) != 0;
+  SessionStore store;
+  Rng rng(29);
+  for (uint64_t n = 0; n < held; ++n) {
+    store.Insert(ShortSession(rng, n));
+  }
+  const EventTime lo =
+      static_cast<EventTime>(old ? 10 : held - 30) * kNanosPerMilli;
+  const EventTime hi = lo + 20 * kNanosPerMilli;
+  size_t returned = 0;
+  for (auto _ : state) {
+    const auto sessions = store.QueryByTimeRange(lo, hi, 10);
+    returned = sessions.size();
+    benchmark::DoNotOptimize(sessions);
+  }
+  state.counters["returned"] = static_cast<double>(returned);
+}
+BENCHMARK(BM_StoreRange)
+    ->ArgNames({"held", "old"})
+    ->ArgsProduct({{1'300, 100'000}, {0, 1}});
+
 void BM_TraceTreeBuild(benchmark::State& state) {
   const auto records = SampleRecords(20'000);
   auto sessions = OfflineSessionizer::Sessionize(records);
@@ -432,19 +533,19 @@ BENCHMARK(BM_TraceTreeBuild);
 
 // A shard worker's per-record step on Table 1-shaped lines (23-byte session
 // ids, ~220-byte payloads): SWAR separator scan, then materialization into a
-// fresh owning LogRecord through warm per-connection interners.
+// fresh owning LogRecord, the svc-/h- fields parsed directly as on the live
+// path.
 void BM_MaterializeRecord(benchmark::State& state) {
   const auto records = SampleRecords(1024);
   std::vector<std::string> lines;
   for (const auto& r : records) {
     lines.push_back(ToWireFormat(r));
   }
-  InternerPair interners;
   size_t i = 0;
   for (auto _ : state) {
     LogRecord record;
     const bool ok =
-        MaterializeRecord(ScanRecord(lines[i++ & 1023]), &interners, &record);
+        MaterializeRecord(ScanRecord(lines[i++ & 1023]), nullptr, &record);
     benchmark::DoNotOptimize(ok);
     benchmark::DoNotOptimize(record);
   }

@@ -8,13 +8,8 @@
 namespace ts {
 
 SessionStore::Entry SessionStore::MakeEntry(Session session) {
-  Entry entry;
-  entry.bytes = session.MemoryFootprint();
-  entry.min_time = session.MinTime();
-  entry.max_time = session.MaxTime();
-  entry.services = session.Services();
-  entry.session = std::move(session);
-  return entry;
+  // Braced initializers run in order: measured before the move.
+  return Entry{MeasureSession(session), std::move(session)};
 }
 
 void SessionStore::InsertLocked(Entry entry) {
@@ -22,12 +17,10 @@ void SessionStore::InsertLocked(Entry entry) {
   entries_.push_back(std::move(entry));
   auto it = std::prev(entries_.end());
   const SessionKeyView key(it->session.id, it->session.fragment_index);
-  auto by_id = by_id_.lower_bound(key);
-  if (by_id != by_id_.end() && !by_id_.key_comp()(key, by_id->first)) {
-    it->older_copy = &*by_id->second;
-    by_id->second = it;
-  } else {
-    by_id_.emplace_hint(by_id, SessionKey(key.first, key.second), it);
+  const auto [newest, indexed] = by_id_.Emplace(key.first, key.second, &*it);
+  if (!indexed) {
+    it->older_copy = *newest;
+    *newest = &*it;
   }
   if (cold_probe_ && cold_probe_(key.first, key.second)) {
     twins_.emplace(it->seq, &*it);
@@ -35,7 +28,14 @@ void SessionStore::InsertLocked(Entry entry) {
   for (uint32_t s : it->services) {
     by_service_[s].push_back(it);
   }
-  by_time_.emplace(it->min_time, it);
+  if (by_time_.empty() || it->seq % kTimeBlock == 0) {
+    time_blocks_.push_back({it->min_time, it->max_time});
+  } else {
+    TimeBlock& block = time_blocks_.back();
+    block.min_start = std::min(block.min_start, it->min_time);
+    block.max_end = std::max(block.max_end, it->max_time);
+  }
+  by_time_.push_back({it->min_time, it->max_time, it->seq, &*it});
 
   stats_.bytes += it->bytes;
   ++stats_.sessions;
@@ -95,12 +95,13 @@ SessionStore::Entry* SessionStore::Unindex(EntryList::iterator it) {
   // A later insert of the same (id, fragment) took over the key; the victim
   // only owns it if the mapping still points here.
   Entry* newer = nullptr;
-  const auto by_id =
-      by_id_.find(SessionKeyView(it->session.id, it->session.fragment_index));
-  if (by_id != by_id_.end() && by_id->second == it) {
-    by_id_.erase(by_id);
-  } else if (by_id != by_id_.end()) {
-    newer = &*by_id->second;
+  const std::string& id = it->session.id;
+  const uint32_t fragment = it->session.fragment_index;
+  Entry* const* newest = by_id_.Find(id, fragment);
+  if (newest != nullptr && *newest == &*it) {
+    by_id_.Erase(id, fragment);
+  } else if (newest != nullptr) {
+    newer = *newest;
   }
   // The entry's service set is recorded at insert, so each service index is
   // trimmed directly — no scan over unrelated services. Eviction order is
@@ -117,12 +118,13 @@ SessionStore::Entry* SessionStore::Unindex(EntryList::iterator it) {
       by_service_.erase(by_service);  // Keep dead services from accumulating.
     }
   }
-  auto range = by_time_.equal_range(it->min_time);
-  for (auto t = range.first; t != range.second; ++t) {
-    if (t->second == it) {
-      by_time_.erase(t);
-      break;
-    }
+  // Eviction is oldest-insert-first, so the victim is the time column's
+  // front slot too.
+  TS_CHECK(by_time_.front().entry == &*it);
+  by_time_.pop_front();
+  if (by_time_.empty() ||
+      by_time_.front().seq / kTimeBlock != it->seq / kTimeBlock) {
+    time_blocks_.pop_front();  // The victim was its block's last live slot.
   }
   return newer;
 }
@@ -157,20 +159,18 @@ void SessionStore::EvictIfNeeded(EntryList* victims) {
 std::optional<Session> SessionStore::GetById(const std::string& id,
                                              uint32_t fragment) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = by_id_.find(SessionKeyView(id, fragment));
-  if (it == by_id_.end()) {
+  Entry* const* entry = by_id_.Find(id, fragment);
+  if (entry == nullptr) {
     return std::nullopt;
   }
-  return it->second->session;
+  return (*entry)->session;
 }
 
 std::vector<Session> SessionStore::GetAllFragments(const std::string& id) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<Session> out;
-  // by_id_ is ordered: fragments of one id are contiguous and ascending.
-  for (auto it = by_id_.lower_bound(SessionKeyView(id, 0));
-       it != by_id_.end() && it->first.first == id; ++it) {
-    out.push_back(it->second->session);
+  for (const auto& [fragment, entry] : by_id_.Fragments(id)) {
+    out.push_back(entry->session);
   }
   return out;
 }
@@ -200,16 +200,42 @@ std::vector<Session> SessionStore::QueryByTimeRange(EventTime lo, EventTime hi,
   if (limit == 0) {
     return out;
   }
-  // by_time_ is ordered by start time, so results come out start-ordered and
-  // the scan stops at the first entry starting at/after `hi` — or as soon as
-  // `limit` intersecting sessions are found.
-  for (auto it = by_time_.begin(); it != by_time_.end() && it->first < hi; ++it) {
-    if (it->second->max_time >= lo) {
-      out.push_back(it->second->session);
-      if (out.size() >= limit) {
-        break;
+  // The `limit` smallest (min_time, seq) among the slots intersecting
+  // [lo, hi), kept in a max-heap: start order, equal starts in insertion
+  // order.
+  const auto earlier = [](const TimeSlot* a, const TimeSlot* b) {
+    return a->min_time < b->min_time ||
+           (a->min_time == b->min_time && a->seq < b->seq);
+  };
+  std::vector<const TimeSlot*> best;
+  const uint64_t front_seq = by_time_.empty() ? 0 : by_time_.front().seq;
+  for (size_t b = 0; b < time_blocks_.size(); ++b) {
+    if (time_blocks_[b].min_start >= hi || time_blocks_[b].max_end < lo) {
+      continue;
+    }
+    const uint64_t block_seq = (front_seq / kTimeBlock + b) * kTimeBlock;
+    const size_t begin = block_seq > front_seq ? block_seq - front_seq : 0;
+    const size_t end =
+        std::min<size_t>(block_seq + kTimeBlock - front_seq, by_time_.size());
+    for (auto slot = by_time_.begin() + begin; slot != by_time_.begin() + end;
+         ++slot) {
+      if (slot->min_time >= hi || slot->max_time < lo) {
+        continue;
+      }
+      if (best.size() < limit) {
+        best.push_back(&*slot);
+        std::push_heap(best.begin(), best.end(), earlier);
+      } else if (earlier(&*slot, best.front())) {
+        std::pop_heap(best.begin(), best.end(), earlier);
+        best.back() = &*slot;
+        std::push_heap(best.begin(), best.end(), earlier);
       }
     }
+  }
+  std::sort_heap(best.begin(), best.end(), earlier);
+  out.reserve(best.size());
+  for (const TimeSlot* slot : best) {
+    out.push_back(slot->entry->session);
   }
   return out;
 }
@@ -234,7 +260,7 @@ std::vector<std::pair<uint32_t, size_t>> SessionStore::TopServices(
 
 bool SessionStore::Contains(const std::string& id, uint32_t fragment) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return by_id_.find(SessionKeyView(id, fragment)) != by_id_.end();
+  return by_id_.Find(id, fragment) != nullptr;
 }
 
 void SessionStore::SetColdProbe(ColdProbe probe) {

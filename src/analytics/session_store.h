@@ -201,18 +201,22 @@ class SessionStore {
   void SetEvictionSink(EvictionSink sink, EvictionBarrier barrier = nullptr);
 
  private:
-  struct Entry {
+  struct Entry : SessionExtent {  // Footprint, time extent, service set.
     Session session;
-    size_t bytes = 0;
-    EventTime min_time = 0;
-    EventTime max_time = 0;
-    uint64_t seq = 0;                // Insertion order.
-    std::vector<uint32_t> services;  // Sorted, unique; mirrors by_service_.
+    uint64_t seq = 0;  // Insertion order.
     // The next-older live entry with the same (id, fragment), if any: the
     // chain an eviction walks to flag the newer copies as twins.
     Entry* older_copy = nullptr;
   };
   using EntryList = std::list<Entry>;
+  // One slot of the time column: a copy of an entry's extent, so RANGE
+  // reads contiguous slots and dereferences only the entries it returns.
+  struct TimeSlot {
+    EventTime min_time = 0;
+    EventTime max_time = 0;
+    uint64_t seq = 0;
+    const Entry* entry = nullptr;
+  };
 
   // The entry for `session`, with everything that needs only the session
   // itself (footprint, time extent, service set) filled in; no lock needed.
@@ -232,14 +236,27 @@ class SessionStore {
   mutable std::mutex mu_;
   EntryList entries_;  // Insertion (close) order: front = oldest.
   // (id, fragment) -> newest entry holding it.
-  std::map<SessionKey, EntryList::iterator, SessionKeyLess> by_id_;
+  SessionIdIndex<Entry*> by_id_;
   // service -> entries that touched it, insertion order preserved. Eviction
   // unindexes an entry from exactly the services in Entry::services; since
   // eviction is oldest-first, the victim sits at the front of each deque and
   // is popped in O(1).
   std::unordered_map<uint32_t, std::deque<EntryList::iterator>> by_service_;
-  // start time -> entry.
-  std::multimap<EventTime, EntryList::iterator> by_time_;
+  // The time column, in insertion order like entries_: Insert appends a
+  // slot and eviction pops the front one. RANGE scans it for the `limit`
+  // smallest (min_time, seq), skipping the blocks whose summary misses the
+  // window.
+  std::deque<TimeSlot> by_time_;
+  // Block b summarizes the slots with seq in [b, b + 1) * kTimeBlock: the
+  // least start and greatest end among them. time_blocks_ holds the blocks
+  // with a live slot, oldest first; the front one may also cover evicted
+  // slots, which only makes it skip less.
+  struct TimeBlock {
+    EventTime min_start = 0;
+    EventTime max_end = 0;
+  };
+  static constexpr uint64_t kTimeBlock = 256;
+  std::deque<TimeBlock> time_blocks_;
   Stats stats_;
   uint64_t next_seq_ = 0;
   ColdProbe cold_probe_;

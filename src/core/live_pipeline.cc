@@ -77,14 +77,6 @@ void LivePipeline::FeedLine(std::string line) {
 }
 
 void LivePipeline::FeedBlock(LineBlock&& block) {
-  if (block.connection_reset) {
-    // Mark every shard's next batch: per-connection interning dictionaries
-    // downstream describe a dead producer. Batch granularity is fine — the
-    // dictionaries are pure caches (reset timing is output-neutral).
-    for (auto& shard_ptr : shards_) {
-      shard_ptr->pending.reset_interners = true;
-    }
-  }
   for (std::string_view raw : block.lines) {
     const std::string_view line = TrimLineEnding(raw);
     if (line.empty()) {
@@ -363,18 +355,12 @@ void LivePipeline::WorkerLoop(size_t shard_index) {
   Shard& shard = *shards_[shard_index];
   LiveCloser& closer = shard.closer;
   std::vector<Session> closed;
-  // Per-connection dictionaries memoizing the svc-/h- field parses; cleared
-  // when a batch carries the reconnect flag. Worker-thread-owned.
-  InternerPair interners;
   uint64_t records = 0;
   uint64_t parse_failures = 0;
   while (auto batch = shard.queue.Pop()) {
     // Sessions this shard built and another thread released (store
     // evictions) are freed here, on the thread whose allocator owns them.
     DrainRetired(shard);
-    if (batch->reset_interners) {
-      interners.Clear();
-    }
     for (Item& item : batch->items) {
       closer.ObserveWatermark(item.watermark);
       if (item.parsed) {
@@ -383,9 +369,10 @@ void LivePipeline::WorkerLoop(size_t shard_index) {
       } else {
         // The materialization point: numerics parse lazily off the
         // pre-scanned view; this is the first (and only) copy of the
-        // session-id and payload bytes out of the ingest arena.
+        // session-id and payload bytes out of the ingest arena. The svc-/h-
+        // fields parse directly: a memo table costs more than the parse.
         LogRecord record;
-        if (MaterializeRecord(item.view, &interners, &record)) {
+        if (MaterializeRecord(item.view, nullptr, &record)) {
           closer.Feed(std::move(record), &closed);
           ++records;
         } else {

@@ -347,10 +347,6 @@ class LivePipeline {
     // slice into. Destroying the batch (normal drain or shed head-drop) is
     // what releases the bytes.
     std::vector<ArenaRef> arenas;
-    // Clear the worker's per-connection interning dictionaries before these
-    // items (source reconnected). The dictionaries are content-addressed
-    // caches, so the flag's batch granularity cannot affect output.
-    bool reset_interners = false;
     EventTime watermark_end = 0;  // Global watermark when the batch was sealed.
     int64_t enqueue_steady_ns = 0;
     bool flush_all = false;  // End of stream: FlushAll after processing items.

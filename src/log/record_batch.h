@@ -22,15 +22,11 @@ struct LineBlock {
   // One entry per framed line, newline stripped (CR too), in arrival order.
   // Entries may be empty (blank line on the wire).
   std::vector<std::string_view> lines;
-  // True when the source reconnected since the previous block: per-connection
-  // state downstream (interning dictionaries) must reset before these lines.
-  bool connection_reset = false;
 
   bool empty() const { return lines.empty(); }
   void clear() {
     arena.reset();
     lines.clear();
-    connection_reset = false;
   }
 };
 

@@ -51,11 +51,6 @@ void SocketIngestSource::ScheduleReconnect() {
   // Drop the truncated tail of any record cut off mid-line; the resume offset
   // only counts complete records, so the server re-sends that record whole.
   framer_.Reset();
-  if (ever_connected_) {
-    // The next block delivered must tell the consumer its per-connection
-    // dictionaries describe a dead producer (PollBlock's connection_reset).
-    connection_reset_pending_ = true;
-  }
   if (options_.attempt_limit > 0 && attempts_ >= options_.attempt_limit) {
     state_ = State::kFailed;
     return;
@@ -173,8 +168,6 @@ SocketIngestSource::Poll SocketIngestSource::PollBlock(LineBlock* block,
     arena_ = std::make_shared<Arena>();
   }
   block->arena = arena_;
-  block->connection_reset = connection_reset_pending_;
-  connection_reset_pending_ = false;
   size_t emitted = 0;
   std::vector<std::string_view> framed;
 

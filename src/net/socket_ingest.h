@@ -82,10 +82,8 @@ class SocketIngestSource {
   // filtered; records_received() counts exactly the lines delivered). The
   // arena is shared with the block by reference and rotated between calls
   // once it passes arena_rotate_bytes, so holding a block alive pins at most
-  // one rotation's worth of recv bytes. Sets block->connection_reset when
-  // the source reconnected since the previous block — the consumer's
-  // per-connection dictionaries must reset (docs/INGEST.md). `block` is
-  // cleared first; any previous views in it must already be drained.
+  // one rotation's worth of recv bytes. `block` is cleared first; any
+  // previous views in it must already be drained.
   Poll PollBlock(LineBlock* block, int timeout_ms);
 
   // Convenience: blocks until end of stream, appending a copy of every line
@@ -109,9 +107,6 @@ class SocketIngestSource {
   FdGuard fd_;
   LineFramer framer_;
   ArenaRef arena_;  // PollBlock recv target; rotated at arena_rotate_bytes.
-  // Sticky until the next PollBlock returns it: a reconnect happened, so
-  // per-connection consumer state is stale.
-  bool connection_reset_pending_ = false;
   bool ever_connected_ = false;
   bool hello_sent_ = false;
   size_t hello_off_ = 0;

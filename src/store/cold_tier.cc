@@ -125,7 +125,7 @@ bool ColdTier::Start() {
     for (size_t i = 0; i < segment.index.entries.size(); ++i) {
       const auto& e = segment.index.entries[i];
       // emplace keeps the first (earliest-order) copy on a duplicate key.
-      by_id_.emplace(std::make_pair(e.id, e.fragment), next_order_ + i);
+      by_id_.Emplace(e.id, e.fragment, next_order_ + i);
     }
     for (const auto& [service, count] : segment.index.service_counts) {
       service_counts_[service] += count;
@@ -145,24 +145,17 @@ void ColdTier::Append(Session&& session) {
   if (stop_) {
     return;  // Abandoned/destroyed: the victim is lost, crash-equivalent.
   }
-  const SessionKeyView key(session.id, session.fragment_index);
-  const auto slot = by_id_.lower_bound(key);
-  if (slot != by_id_.end() && !by_id_.key_comp()(key, slot->first)) {
+  if (!by_id_.Emplace(session.id, session.fragment_index, next_order_)
+           .second) {
     ++dedup_dropped_;  // Already cold (replay after restore re-evicts).
     return;
   }
-  PendingEntry entry;
-  entry.bytes = session.MemoryFootprint();
-  entry.min_time = session.MinTime();
-  entry.max_time = session.MaxTime();
-  entry.services = session.Services();
-  entry.session = std::move(session);
+  ++next_order_;
+  // Braced initializers run in order: measured before the move.
+  PendingEntry entry{MeasureSession(session), std::move(session)};
   for (uint32_t s : entry.services) {
     ++service_counts_[s];
   }
-  by_id_.emplace_hint(
-      slot, SessionKey(entry.session.id, entry.session.fragment_index),
-      next_order_++);
   pending_bytes_ += entry.bytes;
   pending_.push_back(std::move(entry));
   ++spilled_;
@@ -355,15 +348,11 @@ int ColdTier::LocateLocked(uint64_t order, uint32_t* entry_index) const {
 
 bool ColdTier::Contains(std::string_view id, uint32_t fragment) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return by_id_.find(SessionKeyView(id, fragment)) != by_id_.end();
+  return by_id_.Find(id, fragment) != nullptr;
 }
 
 void ColdTier::EraseId(const Session& session) {
-  const auto it =
-      by_id_.find(SessionKeyView(session.id, session.fragment_index));
-  if (it != by_id_.end()) {
-    by_id_.erase(it);
-  }
+  by_id_.Erase(session.id, session.fragment_index);
 }
 
 bool ColdTier::Read(const Candidate& candidate, Session* out) {
@@ -372,14 +361,13 @@ bool ColdTier::Read(const Candidate& candidate, Session* out) {
   uint32_t length = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it =
-        by_id_.find(SessionKeyView(candidate.id, candidate.fragment));
-    if (it == by_id_.end()) {
+    const uint64_t* order = by_id_.Find(candidate.id, candidate.fragment);
+    if (order == nullptr) {
       ++misses_;
       return false;
     }
     uint32_t entry_index = 0;
-    const int seg = LocateLocked(it->second, &entry_index);
+    const int seg = LocateLocked(*order, &entry_index);
     if (seg < 0) {
       // Still pending: serve the in-memory copy. (A candidate collected
       // while pending may resolve from a segment by now, and vice versa —
@@ -492,10 +480,8 @@ std::vector<ColdTier::Candidate> ColdTier::CollectFragments(
     const std::string& id) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<Candidate> out;
-  // by_id_ is ordered: fragments of one id are contiguous and ascending.
-  for (auto it = by_id_.lower_bound(SessionKeyView(id, 0));
-       it != by_id_.end() && it->first.first == id; ++it) {
-    out.push_back(CandidateLocked(it->second));
+  for (const auto& [fragment, order] : by_id_.Fragments(id)) {
+    out.push_back(CandidateLocked(order));
   }
   return out;
 }
@@ -539,7 +525,7 @@ std::vector<std::pair<uint32_t, uint64_t>> ColdTier::ServiceCounts(
     held->clear();
     held->reserve(keys.size());
     for (const SessionKeyView& key : keys) {
-      held->push_back(by_id_.find(key) != by_id_.end());
+      held->push_back(by_id_.Find(key.first, key.second) != nullptr);
     }
   }
   return {service_counts_.begin(), service_counts_.end()};
@@ -548,12 +534,13 @@ std::vector<std::pair<uint32_t, uint64_t>> ColdTier::ServiceCounts(
 void ColdTier::ForEachId(
     const std::function<void(const std::string&)>& fn) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const std::string* prev = nullptr;
-  for (const auto& [key, order] : by_id_) {
-    if (prev == nullptr || *prev != key.first) {
-      fn(key.first);
-      prev = &key.first;
-    }
+  std::vector<const std::string*> ids;
+  ids.reserve(by_id_.size());
+  by_id_.ForEachId([&ids](const std::string& id) { ids.push_back(&id); });
+  std::sort(ids.begin(), ids.end(),
+            [](const std::string* a, const std::string* b) { return *a < *b; });
+  for (const std::string* id : ids) {
+    fn(*id);
   }
 }
 

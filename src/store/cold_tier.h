@@ -207,12 +207,8 @@ class ColdTier {
     uint64_t base_order = 0;  // Order of entry 0; entry i is base + i.
     ColdSegmentIndex index;
   };
-  struct PendingEntry {
+  struct PendingEntry : SessionExtent {  // Footprint, time extent, services.
     Session session;
-    size_t bytes = 0;
-    EventTime min_time = 0;
-    EventTime max_time = 0;
-    std::vector<uint32_t> services;  // Sorted, unique.
   };
 
   void SpillLoop();
@@ -247,7 +243,7 @@ class ColdTier {
   uint64_t flush_until_ = 0;            // Spill everything below this order.
   uint64_t next_segment_seq_ = 0;       // Next segment file name.
   // (id, fragment) -> spill order, across segments and pending.
-  std::map<SessionKey, uint64_t, SessionKeyLess> by_id_;
+  SessionIdIndex<uint64_t> by_id_;
   std::map<uint32_t, uint64_t> service_counts_;
 
   // Counters (mu_-guarded; mirrors Stats).

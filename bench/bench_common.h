@@ -26,16 +26,16 @@
 #include <string>
 #include <vector>
 
-#include "src/analytics/collectors.h"
-#include "src/analytics/session_stats.h"
-#include "src/analytics/topk.h"
 #include "src/common/mem_probe.h"
 #include "src/common/siphash.h"
 #include "src/common/stats.h"
 #include "src/common/thread_timer.h"
-#include "src/core/sessionize.h"
-#include "src/core/tree_ops.h"
-#include "src/replay/ingest_driver.h"
+#include "src/dataflow/collectors.h"
+#include "src/dataflow/ingest_driver.h"
+#include "src/dataflow/session_stats.h"
+#include "src/dataflow/sessionize.h"
+#include "src/dataflow/topk.h"
+#include "src/dataflow/tree_ops.h"
 #include "src/timely/timely.h"
 
 namespace ts {

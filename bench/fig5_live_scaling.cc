@@ -4,15 +4,17 @@
 // stream the offline fig5 bench replays. This is the bench the CI bench-smoke
 // and perf-gate lanes track: it writes a machine-readable JSON row per worker
 // count and fails (exit 1) unless the closed-session output and the store's
-// query answers are byte-identical across every worker count AND across the
-// two ingest paths:
+// query answers are byte-identical across every worker count AND equal to a
+// kernel reference:
 //
-//   zero-copy (measured): lines live in an ingest arena, FeedBlock routes
+//   pipeline (measured): lines live in an ingest arena, FeedBlock routes
 //     pre-scanned RecordViews, shard workers materialize lazily — the
 //     SWAR/arena path the real tool runs (docs/INGEST.md);
-//   scalar reference (checked): every line through ParseWireFormat — the
-//     reference parser — then FeedRecord. Run at 1/2/4 workers purely for
-//     the digest cross-check; its throughput is not reported.
+//   kernel reference (checked, run once): no pipeline — every line through
+//     ParseWireFormat, the reference parser, into one LiveCloser in arrival
+//     order under the prefix-max event-time watermark, closing into an
+//     unbounded store. That is the determinism contract itself
+//     (src/core/live_closer.h); its throughput is not reported.
 //
 // The evaluation VM's 4 cores are shared with the feeding thread and other
 // guests, so wall-clock throughput cannot show scaling; threads timeshare
@@ -58,6 +60,7 @@
 #include "src/ckpt/checkpointer.h"
 #include "src/ckpt/live_checkpoint.h"
 #include "src/common/arena.h"
+#include "src/core/live_closer.h"
 #include "src/core/live_pipeline.h"
 #include "src/log/record_batch.h"
 #include "src/log/wire_format.h"
@@ -74,9 +77,9 @@ constexpr size_t kBlockLines = 4096;
 // Interleaved repetitions per reported row (min-time-of-N).
 constexpr int kReps = 3;
 
-// The arrival stream, materialized once: owned text for the scalar-reference
-// path, and the same bytes in an ingest arena as views for the zero-copy
-// path (what recv-into-arena would have produced).
+// The arrival stream, materialized once: owned text for the kernel reference,
+// and the same bytes in an ingest arena as views for the pipeline (what
+// recv-into-arena would have produced).
 struct ArrivalStream {
   std::vector<std::string> lines;
   ArenaRef arena;
@@ -91,10 +94,7 @@ struct ArrivalStream {
   }
 };
 
-enum class FeedMode {
-  kZeroCopyBlocks,   // FeedBlock over arena-backed views (measured path).
-  kScalarReference,  // ParseWireFormat + FeedRecord (digest cross-check).
-};
+constexpr EventTime kInactivityNs = 5 * kNanosPerSecond;
 
 struct RunStats {
   size_t workers = 0;
@@ -123,7 +123,14 @@ struct RunStats {
   }
 };
 
-RunStats RunOnce(const ArrivalStream& stream, size_t workers, FeedMode mode,
+// An unbounded store: the digests need every session.
+std::shared_ptr<SessionStore> MakeStore() {
+  SessionStore::Options store_options;
+  store_options.max_bytes = 1ull << 30;
+  return std::make_shared<SessionStore>(store_options);
+}
+
+RunStats RunOnce(const ArrivalStream& stream, size_t workers,
                  const char* ckpt_dir = nullptr) {
   RunStats stats;
   stats.workers = workers;
@@ -135,16 +142,14 @@ RunStats RunOnce(const ArrivalStream& stream, size_t workers, FeedMode mode,
     ckpt = std::make_unique<Checkpointer>(ckpt_options);
   }
 
-  SessionStore::Options store_options;
-  store_options.max_bytes = 1ull << 30;  // No eviction: digests need all.
-  auto store = std::make_shared<SessionStore>(store_options);
+  auto store = MakeStore();
   std::mutex digest_mu;
   uint64_t session_digest = 0;
   std::set<std::string> ids;
 
   LivePipelineOptions options;
   options.workers = workers;
-  options.inactivity_ns = 5 * kNanosPerSecond;
+  options.inactivity_ns = kInactivityNs;
   options.record_close_latency = true;
   LivePipeline pipeline(options, [&](Session&& s) {
     thread_local std::string scratch;
@@ -172,33 +177,16 @@ RunStats RunOnce(const ArrivalStream& stream, size_t workers, FeedMode mode,
       (stream.lines.size() / 2) & ~static_cast<size_t>(kBlockLines - 1);
   const int64_t ingest_cpu_start = ThreadCpuNanos();
   Stopwatch wall;
-  if (mode == FeedMode::kZeroCopyBlocks) {
-    for (size_t begin = 0; begin < stream.views.size(); begin += kBlockLines) {
-      const size_t end =
-          std::min(begin + kBlockLines, stream.views.size());
-      LineBlock block;
-      block.arena = stream.arena;
-      block.lines.assign(stream.views.begin() + begin,
-                         stream.views.begin() + end);
-      pipeline.FeedBlock(std::move(block));
-      pipeline.Flush();  // Poll-loop cadence of the real tool.
-      if (async_ckpt != nullptr && end == ckpt_at) {
-        async_ckpt->RequestCheckpoint(end);
-      }
-    }
-  } else {
-    size_t fed = 0;
-    for (const auto& l : stream.lines) {
-      auto parsed = ParseWireFormat(l);
-      if (parsed.has_value()) {
-        pipeline.FeedRecord(std::move(*parsed));
-      }
-      if (++fed % kBlockLines == 0) {
-        pipeline.Flush();
-        if (async_ckpt != nullptr && fed == ckpt_at) {
-          async_ckpt->RequestCheckpoint(fed);
-        }
-      }
+  for (size_t begin = 0; begin < stream.views.size(); begin += kBlockLines) {
+    const size_t end = std::min(begin + kBlockLines, stream.views.size());
+    LineBlock block;
+    block.arena = stream.arena;
+    block.lines.assign(stream.views.begin() + begin,
+                       stream.views.begin() + end);
+    pipeline.FeedBlock(std::move(block));
+    pipeline.Flush();  // Poll-loop cadence of the real tool.
+    if (async_ckpt != nullptr && end == ckpt_at) {
+      async_ckpt->RequestCheckpoint(end);
     }
   }
   if (async_ckpt != nullptr) {
@@ -238,6 +226,43 @@ RunStats RunOnce(const ArrivalStream& stream, size_t workers, FeedMode mode,
     stats.ckpt_snapshots = ckpt->snapshots_taken();
     stats.ckpt_last_bytes = ckpt->last_snapshot_bytes();
   }
+  return stats;
+}
+
+// The kernel reference (see the top of this file): what every pipeline run
+// must reproduce, whatever its worker count.
+RunStats RunKernelReference(const ArrivalStream& stream) {
+  RunStats stats;
+  auto store = MakeStore();
+  std::set<std::string> ids;
+  std::string scratch;
+  LiveCloser closer(kInactivityNs);
+  std::vector<Session> closed;
+  const auto sink = [&] {
+    for (Session& s : closed) {
+      stats.session_digest ^= SessionDigest(s, &scratch);
+      ids.insert(s.id);
+      ++stats.sessions;
+      store->Insert(std::move(s));
+    }
+    closed.clear();
+  };
+  EventTime watermark = LiveCloser::kNoWatermark;
+  for (const auto& line : stream.lines) {
+    auto record = ParseWireFormat(line);
+    if (!record.has_value()) {
+      ++stats.parse_failures;
+      continue;
+    }
+    watermark = std::max(watermark, record->time);
+    closer.ObserveWatermark(watermark);
+    closer.Feed(std::move(*record), &closed);
+    ++stats.records;
+    sink();
+  }
+  closer.FlushAll(&closed);
+  sink();
+  stats.store_digest = ChainedStoreDigest(*store, ids);
   return stats;
 }
 
@@ -312,12 +337,19 @@ int main(int argc, char** argv) {
   stream.BuildViews();
   std::printf("arrival stream: %zu records\n\n", stream.lines.size());
 
+  const RunStats reference = RunKernelReference(stream);
+  std::printf("kernel reference: %llu sessions, digest=%016llx "
+              "store=%016llx\n\n",
+              static_cast<unsigned long long>(reference.sessions),
+              static_cast<unsigned long long>(reference.session_digest),
+              static_cast<unsigned long long>(reference.store_digest));
+
   bool identical = true;
   std::vector<RunStats> rows;
   for (size_t w = 1; w <= static_cast<size_t>(max_workers); w *= 2) {
     RunStats best;
     for (int rep = 0; rep < kReps; ++rep) {
-      RunStats run = RunOnce(stream, w, FeedMode::kZeroCopyBlocks);
+      RunStats run = RunOnce(stream, w);
       if (rep == 0) {
         best = run;
       } else if (!SameOutput(run, best)) {
@@ -331,26 +363,14 @@ int main(int argc, char** argv) {
     const RunStats& r = rows.back();
     std::printf(
         "workers=%zu: %10.0f rec/s critical-path (%8.0f wall, best of %d), "
-        "%llu sessions, close p50=%.1fms p99=%.1fms, stalls=%llu\n",
+        "%llu sessions, close p50=%.1fms p99=%.1fms, stalls=%llu\n"
+        "  digest=%016llx store=%016llx %s\n",
         r.workers, r.RecordsPerSecCp(), r.RecordsPerSecWall(), kReps,
         static_cast<unsigned long long>(r.sessions), r.p50_close_ms,
-        r.p99_close_ms, static_cast<unsigned long long>(r.backpressure_stalls));
-  }
-
-  // Scalar-reference cross-check: the reference parser fed record-by-record
-  // must reconstruct byte-identical sessions at every worker count. This is
-  // the guard that the SWAR scanner + lazy materialization changed nothing.
-  for (size_t w = 1; w <= 4 && w <= static_cast<size_t>(max_workers); w *= 2) {
-    const RunStats scalar = RunOnce(stream, w, FeedMode::kScalarReference);
-    const bool ok = SameOutput(scalar, rows[0]);
-    if (!ok) {
-      identical = false;
-    }
-    std::printf(
-        "scalar-reference workers=%zu: digest=%016llx store=%016llx %s\n", w,
-        static_cast<unsigned long long>(scalar.session_digest),
-        static_cast<unsigned long long>(scalar.store_digest),
-        ok ? "== zero-copy" : "MISMATCH vs zero-copy");
+        r.p99_close_ms, static_cast<unsigned long long>(r.backpressure_stalls),
+        static_cast<unsigned long long>(r.session_digest),
+        static_cast<unsigned long long>(r.store_digest),
+        SameOutput(r, reference) ? "== kernel reference" : "MISMATCH");
   }
 
   // Checkpoint-enabled runs at the widest measured worker count: identical
@@ -370,12 +390,10 @@ int main(int argc, char** argv) {
   double plain_tput = 0;
   RunStats ckpt_row;
   for (int rep = 0; rep < kCkptPairs; ++rep) {
-    const RunStats plain =
-        RunOnce(stream, ckpt_workers, FeedMode::kZeroCopyBlocks);
+    const RunStats plain = RunOnce(stream, ckpt_workers);
     plain_tput = std::max(plain_tput, plain.RecordsPerSecCp());
     (void)std::system(ckpt_cleanup.c_str());
-    const RunStats with_ckpt = RunOnce(
-        stream, ckpt_workers, FeedMode::kZeroCopyBlocks, ckpt_dir.c_str());
+    const RunStats with_ckpt = RunOnce(stream, ckpt_workers, ckpt_dir.c_str());
     (void)std::system(ckpt_cleanup.c_str());
     if (rep == 0 ||
         with_ckpt.RecordsPerSecCp() > ckpt_row.RecordsPerSecCp()) {
@@ -392,14 +410,18 @@ int main(int argc, char** argv) {
   std::printf(
       "workers=%zu +ckpt: %7.0f rec/s critical-path (%.1f%% overhead), "
       "%llu snapshot(s) (%llu ticks skipped busy), last %llu bytes\n"
-      "  (ckpt run: ingest %.3fs, max shard %.3fs)\n",
+      "  (ckpt run: ingest %.3fs, max shard %.3fs)\n"
+      "  digest=%016llx store=%016llx %s\n",
       ckpt_workers, ckpt_row.RecordsPerSecCp(), 100.0 * ckpt_overhead,
       static_cast<unsigned long long>(ckpt_row.ckpt_snapshots),
       static_cast<unsigned long long>(ckpt_row.ckpt_skipped_busy),
       static_cast<unsigned long long>(ckpt_row.ckpt_last_bytes),
-      ckpt_row.ingest_cpu_s, ckpt_row.max_shard_cpu_s);
+      ckpt_row.ingest_cpu_s, ckpt_row.max_shard_cpu_s,
+      static_cast<unsigned long long>(ckpt_row.session_digest),
+      static_cast<unsigned long long>(ckpt_row.store_digest),
+      SameOutput(ckpt_row, reference) ? "== kernel reference" : "MISMATCH");
 
-  if (!SameOutput(ckpt_row, rows[0])) {
+  if (!SameOutput(ckpt_row, reference)) {
     identical = false;
     std::printf("MISMATCH in checkpoint-enabled run: snapshot barriers "
                 "perturbed the output\n");
@@ -410,19 +432,19 @@ int main(int argc, char** argv) {
                 "overhead measurement is vacuous\n");
   }
   for (const auto& r : rows) {
-    if (!SameOutput(r, rows[0])) {
+    if (!SameOutput(r, reference)) {
       identical = false;
       std::printf("MISMATCH at workers=%zu: sessions=%llu digest=%016llx "
-                  "store=%016llx (baseline %llu/%016llx/%016llx)\n",
+                  "store=%016llx (kernel reference %llu/%016llx/%016llx)\n",
                   r.workers, static_cast<unsigned long long>(r.sessions),
                   static_cast<unsigned long long>(r.session_digest),
                   static_cast<unsigned long long>(r.store_digest),
-                  static_cast<unsigned long long>(rows[0].sessions),
-                  static_cast<unsigned long long>(rows[0].session_digest),
-                  static_cast<unsigned long long>(rows[0].store_digest));
+                  static_cast<unsigned long long>(reference.sessions),
+                  static_cast<unsigned long long>(reference.session_digest),
+                  static_cast<unsigned long long>(reference.store_digest));
     }
   }
-  std::printf("\nresults across worker counts + scalar reference: %s\n",
+  std::printf("\nresults across worker counts + kernel reference: %s\n",
               identical ? "byte-identical" : "MISMATCH");
   std::printf("speedup vs 1 worker (critical-path): 2w=%.2fx 4w=%.2fx\n",
               Speedup(rows, 2), Speedup(rows, 4));

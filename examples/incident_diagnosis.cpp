@@ -11,9 +11,9 @@
 #include <cstdio>
 #include <memory>
 
-#include "src/core/sessionize.h"
-#include "src/core/tree_ops.h"
-#include "src/replay/ingest_driver.h"
+#include "src/dataflow/ingest_driver.h"
+#include "src/dataflow/sessionize.h"
+#include "src/dataflow/tree_ops.h"
 #include "src/timely/timely.h"
 
 int main(int argc, char** argv) {

@@ -7,11 +7,11 @@
 #include <memory>
 #include <mutex>
 
-#include "src/analytics/topk.h"
 #include "src/common/siphash.h"
-#include "src/core/sessionize.h"
-#include "src/core/tree_ops.h"
-#include "src/replay/ingest_driver.h"
+#include "src/dataflow/ingest_driver.h"
+#include "src/dataflow/sessionize.h"
+#include "src/dataflow/topk.h"
+#include "src/dataflow/tree_ops.h"
 #include "src/timely/timely.h"
 
 int main(int argc, char** argv) {

@@ -9,8 +9,8 @@
 #include <mutex>
 #include <vector>
 
-#include "src/core/sessionize.h"
-#include "src/core/tree_ops.h"
+#include "src/dataflow/sessionize.h"
+#include "src/dataflow/tree_ops.h"
 #include "src/timely/timely.h"
 
 namespace {

@@ -18,12 +18,13 @@
 
 #include "src/analytics/critical_path.h"
 #include "src/analytics/session_store.h"
-#include "src/core/sessionize.h"
 #include "src/core/trace_tree.h"
+#include "src/dataflow/ingest_driver.h"
+#include "src/dataflow/sessionize.h"
+#include "src/dataflow/store_sessions.h"
 #include "src/query/query_client.h"
 #include "src/query/query_protocol.h"
 #include "src/query/query_server.h"
-#include "src/replay/ingest_driver.h"
 #include "src/timely/timely.h"
 
 namespace {

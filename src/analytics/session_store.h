@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "src/core/session.h"
-#include "src/timely/scope.h"
 
 namespace ts {
 
@@ -277,17 +276,6 @@ class SessionStore {
   EvictionSink eviction_sink_;
   EvictionBarrier eviction_barrier_;
 };
-
-// Attaches a sink that feeds every session of `stream` into `store`.
-inline void StoreSessions(Scope& scope, const Stream<Session>& stream,
-                          std::shared_ptr<SessionStore> store) {
-  scope.Sink<Session>(stream, "session_store",
-                      [store](Epoch, std::vector<Session>& data) {
-                        for (auto& s : data) {
-                          store->Insert(std::move(s));
-                        }
-                      });
-}
 
 }  // namespace ts
 

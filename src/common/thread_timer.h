@@ -22,19 +22,6 @@ inline int64_t ThreadCpuNanos() {
   return static_cast<int64_t>(ts_now.tv_sec) * 1'000'000'000 + ts_now.tv_nsec;
 }
 
-// Accumulates CPU busy time across disjoint intervals on one thread.
-class BusyTimer {
- public:
-  void Start() { start_ = ThreadCpuNanos(); }
-  void Stop() { total_ += ThreadCpuNanos() - start_; }
-  int64_t total_nanos() const { return total_; }
-  void Reset() { total_ = 0; }
-
- private:
-  int64_t start_ = 0;
-  int64_t total_ = 0;
-};
-
 }  // namespace ts
 
 #endif  // SRC_COMMON_THREAD_TIMER_H_

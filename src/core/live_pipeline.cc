@@ -62,11 +62,11 @@ void LivePipeline::RotateFeedArena() {
   }
 }
 
-void LivePipeline::FeedLine(std::string line) {
+void LivePipeline::FeedLine(std::string_view line) {
   const std::string_view trimmed = TrimLineEnding(line);
   if (trimmed.empty()) {
     // Framing artifact, not a corrupt record: skipped everywhere, counted
-    // nowhere near parse_failures (see ISSUE: blank-line unification).
+    // nowhere near parse_failures.
     blank_lines_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -122,45 +122,18 @@ void LivePipeline::FeedView(std::string_view line, const ArenaRef& arena) {
   } else {
     shard_index = ShardOf(view.line);
   }
-  Item item;
-  item.view = view;
-  item.watermark = ingest_watermark_;
-  Route(std::move(item), shard_index, *owner);
+  Route(Item{view, ingest_watermark_}, shard_index, *owner);
 }
 
-void LivePipeline::FeedRecord(LogRecord record) {
-  if (miner_ != nullptr) {
-    std::lock_guard<std::mutex> lock(miner_mu_);
-    miner_scratch_.clear();
-    miner_->MineAndRewrite(record.payload, &miner_scratch_);
-    record.payload = miner_scratch_;
-  }
-  ingest_watermark_ = std::max(ingest_watermark_, record.time);
-  const size_t shard_index = ShardOf(record.session_id);
-  Item item;
-  item.record = std::move(record);
-  item.parsed = true;
-  item.watermark = ingest_watermark_;
-  Route(std::move(item), shard_index, /*arena=*/nullptr);
-}
-
-void LivePipeline::Route(Item item, size_t shard_index, const ArenaRef& arena) {
+void LivePipeline::Route(const Item& item, size_t shard_index,
+                         const ArenaRef& arena) {
   Shard& shard = *shards_[shard_index];
-  shard.pending.items.push_back(std::move(item));
-  if (arena != nullptr) {
-    // Record the view's keep-alive. The same handful of arenas repeats across
-    // a batch (ingest block + maybe the feed arena), so a linear scan dedups.
-    auto& arenas = shard.pending.arenas;
-    bool held = false;
-    for (const ArenaRef& a : arenas) {
-      if (a == arena) {
-        held = true;
-        break;
-      }
-    }
-    if (!held) {
-      arenas.push_back(arena);
-    }
+  shard.pending.items.push_back(item);
+  // Record the view's keep-alive. The same handful of arenas repeats across
+  // a batch (ingest block + maybe the feed arena), so a linear scan dedups.
+  auto& arenas = shard.pending.arenas;
+  if (std::find(arenas.begin(), arenas.end(), arena) == arenas.end()) {
+    arenas.push_back(arena);
   }
   if (shard.pending.items.size() >= options_.max_batch_records) {
     SealAndPush(shard);
@@ -361,23 +334,18 @@ void LivePipeline::WorkerLoop(size_t shard_index) {
     // Sessions this shard built and another thread released (store
     // evictions) are freed here, on the thread whose allocator owns them.
     DrainRetired(shard);
-    for (Item& item : batch->items) {
+    for (const Item& item : batch->items) {
       closer.ObserveWatermark(item.watermark);
-      if (item.parsed) {
-        closer.Feed(std::move(item.record), &closed);
+      // The materialization point: numerics parse lazily off the pre-scanned
+      // view; this is the first (and only) copy of the session-id and payload
+      // bytes out of the ingest arena. The svc-/h- fields parse directly: a
+      // memo table costs more than the parse.
+      LogRecord record;
+      if (MaterializeRecord(item.view, nullptr, &record)) {
+        closer.Feed(std::move(record), &closed);
         ++records;
       } else {
-        // The materialization point: numerics parse lazily off the
-        // pre-scanned view; this is the first (and only) copy of the
-        // session-id and payload bytes out of the ingest arena. The svc-/h-
-        // fields parse directly: a memo table costs more than the parse.
-        LogRecord record;
-        if (MaterializeRecord(item.view, nullptr, &record)) {
-          closer.Feed(std::move(record), &closed);
-          ++records;
-        } else {
-          ++parse_failures;
-        }
+        ++parse_failures;
       }
     }
     closer.ObserveWatermark(batch->watermark_end);

@@ -171,7 +171,7 @@ class LivePipeline {
   // The bytes are copied once into a pipeline-owned ingest arena and flow as
   // views from there; FeedBlock is the zero-copy path for callers that
   // already hold arena-backed lines.
-  void FeedLine(std::string line);
+  void FeedLine(std::string_view line);
 
   // Feeds a block of framed lines backed by an ingest arena (the
   // SocketIngestSource::PollBlock hand-off). Routing, watermarks, blank-line
@@ -180,9 +180,6 @@ class LivePipeline {
   // never copied: per-shard batches take references on the block's arena and
   // release them when they drain. Consumes the block (it is cleared).
   void FeedBlock(LineBlock&& block);
-
-  // Feeds an already-parsed record (in-process producers).
-  void FeedRecord(LogRecord record);
 
   // Pushes partial batches and broadcasts the current global watermark to
   // every shard so idle sessions close. Call once per poll iteration.
@@ -335,10 +332,8 @@ class LivePipeline {
   struct Item {
     // Wire text as a pre-scanned view into an arena the owning batch holds a
     // reference on (separator offsets found once, on the ingest thread — the
-    // worker materializes without rescanning). Empty when `parsed`.
+    // worker materializes without rescanning).
     RecordView view;
-    LogRecord record;       // Populated when `parsed`.
-    bool parsed = false;
     EventTime watermark = 0;  // Global prefix-max tag at this item's position.
   };
   struct Batch {
@@ -387,7 +382,7 @@ class LivePipeline {
   // trimmed, nonempty) is a view into `*arena`. Scans, optionally mines (the
   // rewritten line is copied into the pipeline's own arena), routes.
   void FeedView(std::string_view line, const ArenaRef& arena);
-  void Route(Item item, size_t shard_index, const ArenaRef& arena);
+  void Route(const Item& item, size_t shard_index, const ArenaRef& arena);
   void SealAndPush(Shard& shard);
   void WorkerLoop(size_t shard_index);
   // Worker thread: destroys the shard's Retire() queue.

@@ -1,9 +1,7 @@
-// The ingestion boundary: one interface behind which a timely worker's
-// IngestDriver consumes its arrival stream, whether the records come from the
-// in-process replayer (the seed's substitution for the paper's log servers)
-// or from a live TCP socket (src/net). The driver neither knows nor cares —
-// exactly the property §5 relies on when it swaps archived-file replay in for
-// the production socket feed.
+// The ingestion boundary: the interface behind which a timely worker's
+// IngestDriver (src/dataflow) consumes its arrival stream. The in-process
+// replayer — the substitution for the paper's log servers (§5) — implements
+// it; the live path reads its socket through src/net instead.
 #ifndef SRC_REPLAY_ARRIVAL_SOURCE_H_
 #define SRC_REPLAY_ARRIVAL_SOURCE_H_
 
@@ -37,14 +35,6 @@ class ArrivalSource {
   // sorted by arrival time. Each (worker, epoch) may be fetched once.
   virtual Fetch ArrivalsFor(size_t worker, Epoch epoch,
                             std::vector<Arrival>* out) = 0;
-
-  // Paced sources (the replayer) bucket arrivals into wall-clock epochs, so
-  // the driver can flush its re-order buffer up to `arrival_epoch - slack`.
-  // Unpaced sources (a live socket drained as fast as it delivers) carry no
-  // such clock; the driver instead flushes behind the maximum event time seen
-  // — the watermark discipline of §4.1 — which tolerates exactly the same
-  // lateness window.
-  virtual bool paced() const { return true; }
 };
 
 }  // namespace ts

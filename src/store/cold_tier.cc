@@ -122,13 +122,18 @@ bool ColdTier::Start() {
       continue;
     }
     segment.base_order = next_order_;
-    for (size_t i = 0; i < segment.index.entries.size(); ++i) {
-      const auto& e = segment.index.entries[i];
-      // emplace keeps the first (earliest-order) copy on a duplicate key.
-      by_id_.Emplace(e.id, e.fragment, next_order_ + i);
-    }
     for (const auto& [service, count] : segment.index.service_counts) {
       service_counts_[service] += count;
+    }
+    for (size_t i = 0; i < segment.index.entries.size(); ++i) {
+      const auto& e = segment.index.entries[i];
+      // emplace keeps the first (earliest-order) copy on a duplicate key;
+      // this later copy is shadowed: counted and scanned nowhere.
+      if (!by_id_.Emplace(e.id, e.fragment, next_order_ + i).second) {
+        segment.shadowed.resize(segment.index.entries.size());
+        segment.shadowed[i] = true;
+        UncountServicesLocked(e.services);
+      }
     }
     next_order_ += segment.index.count;
     disk_bytes_ += file_bytes;
@@ -236,12 +241,7 @@ void ColdTier::SpillLoop() {
         for (size_t i = 0; i < k; ++i) {
           PendingEntry& e = pending_.front();
           EraseId(e.session);
-          for (uint32_t s : e.services) {
-            const auto it = service_counts_.find(s);
-            if (it != service_counts_.end() && --it->second == 0) {
-              service_counts_.erase(it);
-            }
-          }
+          UncountServicesLocked(e.services);
           pending_bytes_ -= e.bytes;
           shed_bytes_ += e.bytes;
           pending_.pop_front();
@@ -308,12 +308,7 @@ void ColdTier::Abandon() {
     // only what actually reached disk remains visible, as after a real kill.
     for (const auto& e : pending_) {
       EraseId(e.session);
-      for (uint32_t s : e.services) {
-        const auto it = service_counts_.find(s);
-        if (it != service_counts_.end() && --it->second == 0) {
-          service_counts_.erase(it);
-        }
-      }
+      UncountServicesLocked(e.services);
     }
     pending_.clear();
     pending_bytes_ = 0;
@@ -353,6 +348,15 @@ bool ColdTier::Contains(std::string_view id, uint32_t fragment) const {
 
 void ColdTier::EraseId(const Session& session) {
   by_id_.Erase(session.id, session.fragment_index);
+}
+
+void ColdTier::UncountServicesLocked(const std::vector<uint32_t>& services) {
+  for (uint32_t s : services) {
+    const auto it = service_counts_.find(s);
+    if (it != service_counts_.end() && --it->second == 0) {
+      service_counts_.erase(it);
+    }
+  }
 }
 
 bool ColdTier::Read(const Candidate& candidate, Session* out) {
@@ -448,6 +452,9 @@ std::vector<ColdTier::Candidate> ColdTier::CollectLocked(
     }
     for (size_t i = 0; i < segment.index.entries.size(); ++i) {
       const auto& e = segment.index.entries[i];
+      if (segment.IsShadowed(i)) {
+        continue;
+      }
       if (entry_matches(e)) {
         matches.emplace_back(e.min_time, segment.base_order + i);
       }

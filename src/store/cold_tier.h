@@ -206,6 +206,14 @@ class ColdTier {
     std::string path;
     uint64_t base_order = 0;  // Order of entry 0; entry i is base + i.
     ColdSegmentIndex index;
+    // Entries whose (id, fragment) an earlier segment already holds, found
+    // at Start; empty when there are none. by_id_ resolves a key to its
+    // earliest copy, so a shadowed entry's services are taken back out of
+    // service_counts_ and every scan skips it.
+    std::vector<bool> shadowed;
+    bool IsShadowed(size_t i) const {
+      return !shadowed.empty() && shadowed[i];
+    }
   };
   struct PendingEntry : SessionExtent {  // Footprint, time extent, services.
     Session session;
@@ -213,6 +221,8 @@ class ColdTier {
 
   void SpillLoop();
   void EraseId(const Session& session);  // Un-indexes its key (mu_ held).
+  // Takes one session's services out of service_counts_ (mu_ held).
+  void UncountServicesLocked(const std::vector<uint32_t>& services);
   bool WantSpillLocked() const;
   // Locates `order` (mu_ held). Returns segment index, or -1 for pending.
   int LocateLocked(uint64_t order, uint32_t* entry_index) const;

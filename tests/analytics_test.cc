@@ -5,9 +5,9 @@
 
 #include <gtest/gtest.h>
 
-#include "src/analytics/session_stats.h"
-#include "src/core/sessionize.h"
-#include "src/core/tree_ops.h"
+#include "src/dataflow/session_stats.h"
+#include "src/dataflow/sessionize.h"
+#include "src/dataflow/tree_ops.h"
 #include "src/timely/timely.h"
 
 namespace ts {

@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/analytics/collectors.h"
-#include "src/analytics/histogram_op.h"
+#include "src/dataflow/collectors.h"
+#include "src/dataflow/histogram_op.h"
 #include "src/timely/timely.h"
 
 namespace ts {

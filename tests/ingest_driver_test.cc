@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/replay/ingest_driver.h"
+#include "src/dataflow/ingest_driver.h"
 #include "src/timely/timely.h"
 
 namespace ts {

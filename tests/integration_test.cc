@@ -10,11 +10,11 @@
 
 #include <gtest/gtest.h>
 
-#include "src/analytics/collectors.h"
 #include "src/common/siphash.h"
-#include "src/analytics/topk.h"
-#include "src/core/sessionize.h"
-#include "src/core/tree_ops.h"
+#include "src/dataflow/collectors.h"
+#include "src/dataflow/sessionize.h"
+#include "src/dataflow/topk.h"
+#include "src/dataflow/tree_ops.h"
 #include "src/offline/offline_sessionizer.h"
 #include "src/timely/timely.h"
 #include "src/workload/generator.h"

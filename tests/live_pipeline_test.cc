@@ -1,22 +1,31 @@
 // LivePipeline: the sharded live sessionization hot path. Covers the
 // acceptance property (closed-session output is byte-identical for every
-// worker count), blank-line/parse-failure accounting, fragment renumbering
-// across shards, back-pressure, the merged watermark, metrics registration,
-// and a multi-worker ingest stress intended for the TSan CI lane.
+// worker count, and equal to one LiveCloser fed the parsed stream in arrival
+// order), blank-line/parse-failure accounting, fragment renumbering across
+// shards, back-pressure, the merged watermark, metrics registration, and a
+// multi-worker ingest stress intended for the TSan CI lane.
 #include "src/core/live_pipeline.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/arena.h"
 #include "src/common/metrics_registry.h"
+#include "src/common/rng.h"
+#include "src/log/record_batch.h"
+#include "src/log/record_view.h"
 #include "src/log/wire_format.h"
+#include "src/workload/generator.h"
 
 namespace ts {
 namespace {
@@ -202,8 +211,8 @@ TEST(LivePipelineTest, MergedWatermarkIsMinAcrossShards) {
   options.workers = 4;
   LivePipeline pipeline(options, [](Session&&) {});
   EXPECT_EQ(pipeline.watermark(), 0);  // Nothing processed anywhere yet.
-  pipeline.FeedRecord(Rec("A", 7 * kSec));
-  pipeline.FeedRecord(Rec("B", 9 * kSec));
+  pipeline.FeedLine(ToWireFormat(Rec("A", 7 * kSec)));
+  pipeline.FeedLine(ToWireFormat(Rec("B", 9 * kSec)));
   EXPECT_EQ(pipeline.ingest_watermark(), 9 * kSec);
   pipeline.Finish();
   // Finish broadcasts the final watermark to every shard, so the merged
@@ -217,7 +226,7 @@ TEST(LivePipelineTest, MetricsRegistrationExposesShardGauges) {
   options.workers = 2;
   LivePipeline pipeline(options, [](Session&&) {});
   pipeline.RegisterMetrics(&registry, "live_");
-  pipeline.FeedRecord(Rec("A", kSec));
+  pipeline.FeedLine(ToWireFormat(Rec("A", kSec)));
   pipeline.Finish();
 
   bool saw_records = false, saw_shard1_queue = false, saw_stalls = false;
@@ -389,6 +398,157 @@ TEST(LivePipelineTest, ShedMetricsRegisteredAndZeroWhenOff) {
   EXPECT_EQ(get("live_open_records"), 0);
 }
 
+// --- Kernel parity: the pipeline against one closer, no pipeline at all ---
+
+// A seeded ts_workload trace in a mildly shuffled arrival order, with blank
+// lines and malformed lines mixed in. Some malformed lines still carry a
+// readable time field, one kind of them 300 ms past the record before it.
+std::vector<std::string> MakeDirtyTrace() {
+  GeneratorConfig config;
+  config.seed = 23;
+  config.duration_ns = 8 * kSec;
+  config.target_records_per_sec = 3'000;
+  TraceGenerator generator(config);
+  std::vector<std::string> valid;
+  Epoch epoch = 0;
+  std::vector<LogRecord> records;
+  while (generator.NextEpoch(&epoch, &records)) {
+    for (const auto& r : records) {
+      valid.push_back(ToWireFormat(r));
+    }
+  }
+  Rng rng(23);
+  for (size_t i = 0; i + 8 < valid.size(); ++i) {
+    std::swap(valid[i], valid[i + rng.NextBelow(8)]);
+  }
+  std::vector<std::string> lines;
+  for (size_t i = 0; i < valid.size(); ++i) {
+    lines.push_back(valid[i]);
+    if (i % 97 != 0) {
+      continue;
+    }
+    const size_t time_end = valid[i].find('|');
+    const EventTime time = std::stoll(valid[i].substr(0, time_end));
+    switch ((i / 97) % 6) {
+      case 0:
+        lines.push_back("");
+        break;
+      case 1:
+        lines.push_back("\r");
+        break;
+      case 2:  // No separators.
+        lines.push_back("corrupt");
+        break;
+      case 3:  // Bad time field.
+        lines.push_back("x|S|1|svc-1|h-1|ANNOT|p");
+        break;
+      case 4:  // Cut after the session id: the time field still reads.
+        lines.push_back(
+            valid[i].substr(0, valid[i].find('|', time_end + 1) + 1));
+        break;
+      case 5:  // A readable time 300 ms past this record's, bad txn id.
+        lines.push_back(std::to_string(time + 300 * kNanosPerMilli) +
+                        "|late|not-a-txn|svc-1|h-1|ANNOT|p");
+        break;
+    }
+  }
+  return lines;
+}
+
+// The determinism contract as code: each line through ParseWireFormat into
+// one LiveCloser, in arrival order, under the prefix-max event-time
+// watermark. The pipeline tags that watermark from a line's time field
+// before anything parses it, so a line whose time field reads raises it
+// even when the rest of the line fails to parse; the reference does the
+// same. Returns the closed sessions in Canonical form.
+std::string KernelReference(const std::vector<std::string>& lines,
+                            EventTime inactivity_ns) {
+  LiveCloser closer(inactivity_ns);
+  std::vector<Session> closed;
+  EventTime watermark = LiveCloser::kNoWatermark;
+  for (const auto& line : lines) {
+    auto record = ParseWireFormat(line);
+    EventTime time = 0;
+    std::string_view id;
+    if (record.has_value()) {
+      time = record->time;
+    } else if (!ExtractRouteKey(ScanRecord(line), &time, &id)) {
+      continue;
+    }
+    watermark = std::max(watermark, time);
+    closer.ObserveWatermark(watermark);
+    if (record.has_value()) {
+      closer.Feed(std::move(*record), &closed);
+    }
+  }
+  closer.FlushAll(&closed);
+  return Canonical(closed);
+}
+
+enum class FeedPath { kBlock, kLine };
+
+// Feeds `lines` through one feed path, flushing every kPerPoll lines like
+// the tool's poll loop, and returns the closed sessions like KernelReference.
+std::string RunFeedPath(const std::vector<std::string>& lines, size_t workers,
+                        EventTime inactivity_ns, FeedPath path) {
+  constexpr size_t kPerPoll = 512;
+  Collected collected;
+  LivePipelineOptions options;
+  options.workers = workers;
+  options.inactivity_ns = inactivity_ns;
+  LivePipeline pipeline(options,
+                        [&](Session&& s) { collected.Add(std::move(s)); });
+  for (size_t begin = 0; begin < lines.size(); begin += kPerPoll) {
+    const size_t end = std::min(lines.size(), begin + kPerPoll);
+    if (path == FeedPath::kBlock) {
+      LineBlock block;  // A fresh arena per block, as a socket poll hands off.
+      block.arena = std::make_shared<Arena>();
+      for (size_t i = begin; i < end; ++i) {
+        block.lines.push_back(block.arena->Copy(lines[i]));
+      }
+      pipeline.FeedBlock(std::move(block));
+    } else {
+      for (size_t i = begin; i < end; ++i) {
+        pipeline.FeedLine(lines[i]);
+      }
+    }
+    pipeline.Flush();
+  }
+  pipeline.Finish();
+  EXPECT_EQ(pipeline.records() + pipeline.parse_failures() +
+                pipeline.blank_lines(),
+            lines.size());
+  EXPECT_EQ(pipeline.sessions_closed(), collected.sessions.size());
+  return Canonical(collected.sessions);
+}
+
+void ExpectKernelParity(EventTime inactivity_ns) {
+  const auto lines = MakeDirtyTrace();
+  const std::string reference = KernelReference(lines, inactivity_ns);
+  size_t sessions = 0;
+  for (size_t at = reference.find("\n---\n"); at != std::string::npos;
+       at = reference.find("\n---\n", at + 1)) {
+    ++sessions;
+  }
+  ASSERT_GT(sessions, 100u);
+  for (FeedPath path : {FeedPath::kBlock, FeedPath::kLine}) {
+    for (size_t workers : {1, 2, 4}) {
+      SCOPED_TRACE(std::string(path == FeedPath::kBlock ? "FeedBlock"
+                                                        : "FeedLine") +
+                   " at " + std::to_string(workers) + " workers");
+      EXPECT_EQ(RunFeedPath(lines, workers, inactivity_ns, path), reference);
+    }
+  }
+}
+
+TEST(LivePipelineKernelParity, OneSecondWindowMatchesOneCloserOnEveryFeedPath) {
+  ExpectKernelParity(kSec);
+}
+
+TEST(LivePipelineKernelParity, NoIdleSplitMatchesOneCloserOnEveryFeedPath) {
+  ExpectKernelParity(LiveCloser::kNoIdleSplit);
+}
+
 // ShardOf is the routing of every feed path: each record lands on the shard
 // ShardOf names for its session id.
 TEST(LivePipelineRetire, ShardOfIsTheRoutingOfEveryFeedPath) {
@@ -399,10 +559,14 @@ TEST(LivePipelineRetire, ShardOfIsTheRoutingOfEveryFeedPath) {
   for (int i = 0; i < 60; ++i) {
     const std::string id = "ID" + std::to_string(i);
     ++expected[pipeline.ShardOf(id)];
+    const std::string line = ToWireFormat(Rec(id, kSec + i));
     if (i % 2 == 0) {
-      pipeline.FeedRecord(Rec(id, kSec + i));
+      LineBlock block;
+      block.arena = std::make_shared<Arena>();
+      block.lines.push_back(block.arena->Copy(line));
+      pipeline.FeedBlock(std::move(block));
     } else {
-      pipeline.FeedLine(ToWireFormat(Rec(id, kSec + i)));
+      pipeline.FeedLine(line);
     }
   }
   pipeline.Finish();

@@ -1,20 +1,15 @@
 // ts_net end-to-end tests over real loopback sockets: byte-for-byte round
 // trips, stream partitioning, fragmentation under tiny buffers, mid-record
-// server kill with reconnect-and-resume, connect retry, and equivalence of
-// the socket ingest path with the in-memory arrival path through the
-// IngestDriver and a timely computation.
+// server kill with reconnect-and-resume, and connect retry.
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,9 +17,6 @@
 #include "src/log/wire_format.h"
 #include "src/net/log_server.h"
 #include "src/net/socket_ingest.h"
-#include "src/replay/ingest_driver.h"
-#include "src/replay/socket_source.h"
-#include "src/timely/timely.h"
 #include "src/workload/generator.h"
 
 namespace ts {
@@ -337,71 +329,6 @@ TEST(NetTransport, DeterministicMidRecordCut) {
   EXPECT_EQ(resume_offset.load(), 2u);
   EXPECT_EQ(received, lines);  // Exactly once, despite the mid-record cut.
   EXPECT_EQ(client.stats().Snapshot().reconnects, 1u);
-}
-
-// Canonical record key for order-insensitive equivalence comparison.
-using RecordKey =
-    std::tuple<EventTime, std::string, std::string, uint32_t, uint32_t, int,
-               std::string>;
-
-RecordKey KeyOf(const LogRecord& r) {
-  return {r.time,    r.session_id,            r.txn_id.ToString(), r.service,
-          r.host,    static_cast<int>(r.kind), r.payload};
-}
-
-TEST(NetTransport, SocketIngestDriverMatchesInMemoryParse) {
-  auto archive = MakeArchive(2'000, 2);
-
-  LogServerOptions options;
-  ServerRunner runner(options, archive);
-  ASSERT_TRUE(runner.Start());
-
-  // The in-memory reference: parse the archive directly.
-  std::vector<RecordKey> expected;
-  for (const auto& line : *archive) {
-    auto parsed = ParseWireFormat(line);
-    ASSERT_TRUE(parsed.has_value());
-    expected.push_back(KeyOf(*parsed));
-  }
-
-  // The socket path: SocketArrivalSource -> IngestDriver -> dataflow input.
-  std::vector<RecordKey> fed;
-  std::mutex fed_mu;
-  const uint16_t port = runner.port();
-  Computation::Options copts;
-  copts.workers = 1;
-  Computation::Run(copts, [&](Scope& scope) {
-    auto [input, stream] = scope.NewInput<LogRecord>("logs");
-    auto sunk = scope.Unary<LogRecord, Unit>(
-        stream, Partition<LogRecord>::Pipeline(), "collect",
-        [&fed, &fed_mu](Epoch e, std::vector<LogRecord>& data,
-                        OutputSession<Unit>& out, NotificatorHandle&) {
-          std::lock_guard<std::mutex> lock(fed_mu);
-          for (const auto& r : data) {
-            fed.push_back(KeyOf(r));
-          }
-          out.Give(e, Unit{});
-          data.clear();
-        },
-        [](Epoch, OutputSession<Unit>&, NotificatorHandle&) {});
-    scope.Probe(sunk, "probe");
-
-    SocketArrivalSource::Options sopts;
-    sopts.socket = ClientOptions(port);
-    auto source = std::make_shared<SocketArrivalSource>(sopts);
-    IngestDriver::Options dopts;
-    dopts.slack_ns = 200 * kNanosPerMilli;
-    auto driver = std::make_shared<IngestDriver>(
-        source.get(), scope.worker_index(), input, dopts);
-    scope.AddDriver([driver, source]() { return driver->Step(); });
-  });
-  runner.Stop();
-
-  // The archive is event-time ordered, so nothing can be late-dropped; the
-  // socket path must feed exactly the records the in-memory parse yields.
-  std::sort(fed.begin(), fed.end());
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(fed, expected);
 }
 
 }  // namespace

@@ -14,11 +14,11 @@
 
 #include <gtest/gtest.h>
 
-#include "src/analytics/collectors.h"
 #include "src/common/rng.h"
-#include "src/core/sessionize.h"
+#include "src/dataflow/collectors.h"
+#include "src/dataflow/ingest_driver.h"
+#include "src/dataflow/sessionize.h"
 #include "src/offline/offline_sessionizer.h"
-#include "src/replay/ingest_driver.h"
 #include "src/timely/timely.h"
 #include "tests/canonical_session.h"
 

@@ -8,8 +8,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/analytics/collectors.h"
-#include "src/core/sessionize.h"
+#include "src/dataflow/collectors.h"
+#include "src/dataflow/sessionize.h"
 #include "src/timely/timely.h"
 
 namespace ts {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -460,6 +461,28 @@ class ReferenceCold {
     return ids;
   }
 
+  // service -> indexed sessions that touched it, service-ascending.
+  std::vector<std::pair<uint32_t, uint64_t>> ServiceCounts() const {
+    std::map<uint32_t, uint64_t> counts;
+    for (const auto& [key, order] : by_id_) {
+      for (uint32_t service : log_[order].Services()) {
+        ++counts[service];
+      }
+    }
+    return {counts.begin(), counts.end()};
+  }
+
+  // (min_time, order) of every indexed session, ascending: a RANGE over all
+  // time with no limit.
+  std::vector<std::pair<EventTime, uint64_t>> AllByTime() const {
+    std::vector<std::pair<EventTime, uint64_t>> out;
+    for (const auto& [key, order] : by_id_) {
+      out.emplace_back(log_[order].MinTime(), order);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
   const Session& At(uint64_t order) const { return log_[order]; }
   size_t size() const { return by_id_.size(); }
   uint64_t next_order() const { return log_.size(); }
@@ -497,8 +520,15 @@ void ExpectColdMatches(ColdTier& cold, const ReferenceCold& model,
     }
   }
   std::vector<bool> held;
-  cold.ServiceCounts(keys, &held);
+  ASSERT_EQ(cold.ServiceCounts(keys, &held), model.ServiceCounts());
   ASSERT_EQ(held, want_held);
+  std::vector<std::pair<EventTime, uint64_t>> by_time;
+  for (const auto& c : cold.CollectRange(std::numeric_limits<EventTime>::min(),
+                                         std::numeric_limits<EventTime>::max(),
+                                         model.size() + 1)) {
+    by_time.emplace_back(c.min_time, c.order);
+  }
+  ASSERT_EQ(by_time, model.AllByTime());
 }
 
 // The name ColdTier gives its n-th segment file.

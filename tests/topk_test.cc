@@ -8,10 +8,10 @@
 
 #include <gtest/gtest.h>
 
-#include "src/analytics/collectors.h"
-#include "src/analytics/topk.h"
 #include "src/common/rng.h"
 #include "src/common/siphash.h"
+#include "src/dataflow/collectors.h"
+#include "src/dataflow/topk.h"
 #include "src/timely/timely.h"
 
 namespace ts {

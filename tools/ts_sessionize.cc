@@ -361,7 +361,7 @@ int main(int argc, char** argv) {
       while (len > 0 && (line[len - 1] == '\n' || line[len - 1] == '\r')) {
         --len;
       }
-      pipeline->FeedLine(std::string(line, static_cast<size_t>(len)));
+      pipeline->FeedLine(std::string_view(line, static_cast<size_t>(len)));
       if (++unflushed == kMaxRecordsPerPoll) {
         pipeline->Flush();
         unflushed = 0;
